@@ -17,6 +17,7 @@ Identical invocations (including seeds) produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -125,6 +126,15 @@ def _parse_float_list(text: str, what: str) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lsilab`` argument parser, built on first use and shared after that.
+
+    Parsing does not change the parser, so one instance serves every call.
+    """
+    return _parser()
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lsilab",
         description="Log-Sobolev inequality laboratory: functionals, transforms and experiments.",

@@ -466,43 +466,42 @@ def _check_eps(eps: float) -> None:
 
 def write_grid_csv(f: GridFunction, path: str | Path) -> None:
     """CSV with header ``x,value``; circle grids omit the wrap point."""
-    x = f.x
     with open(path, "w", newline="") as handle:
         handle.write("x,value\n")
-        for xi, vi in zip(x, f.values):
-            handle.write(f"{float(xi)!r},{float(vi)!r}\n")
+        handle.writelines(f"{xi!r},{vi!r}\n" for xi, vi in zip(f.x.tolist(), f.values.tolist()))
 
 
 def read_grid_csv(path: str | Path, kind: str) -> GridFunction:
     """Parse a grid CSV; ``kind`` is ``interval`` or ``circle``.
 
     The x column must be the uniform grid implied by the domain kind;
-    malformed rows are reported with their line number.
+    malformed rows are reported with their line number. Blank rows are
+    skipped. The file must be UTF-8 text.
     """
     if kind not in ("interval", "circle"):
         raise InvalidInputError(f"unknown domain kind {kind!r}")
-    xs: list[float] = []
-    vs: list[float] = []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1:
-                if [c.strip() for c in row] != ["x", "value"]:
-                    raise InvalidInputError(f"{path}: line 1: expected header 'x,value'")
-                continue
-            if not row:
-                continue
-            if len(row) != 2:
-                raise InvalidInputError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                xs.append(float(row[0]))
-                vs.append(float(row[1]))
-            except ValueError:
-                raise InvalidInputError(f"{path}: line {lineno}: non-numeric field") from None
-    if len(xs) < MIN_SAMPLES:
-        raise InvalidInputError(f"{path}: need at least {MIN_SAMPLES} rows, got {len(xs)}")
-    x = np.asarray(xs)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError:
+            raise InvalidInputError(f"{path}: not a UTF-8 text file") from None
+        except csv.Error as exc:
+            raise InvalidInputError(f"{path}: line {reader.line_num}: {exc}") from None
+    if rows and [c.strip() for c in rows[0]] != ["x", "value"]:
+        raise InvalidInputError(f"{path}: line 1: expected header 'x,value'")
+    body = [row for row in rows[1:] if row]
+    if any(len(row) != 2 for row in body):
+        raise InvalidInputError(_first_bad_row(path, rows))
+    xs, vs = zip(*body) if body else ((), ())
+    try:
+        x = np.fromiter(map(float, xs), float, len(xs))
+        values = np.fromiter(map(float, vs), float, len(vs))
+    except ValueError:
+        raise InvalidInputError(_first_bad_row(path, rows)) from None
     n = x.size
+    if n < MIN_SAMPLES:
+        raise InvalidInputError(f"{path}: need at least {MIN_SAMPLES} rows, got {n}")
     if kind == "interval":
         domain: Domain = Interval(x[0], x[-1])
     else:
@@ -513,7 +512,19 @@ def read_grid_csv(path: str | Path, kind: str) -> GridFunction:
     expected = grid_points(domain, n)
     if not np.allclose(x, expected, rtol=0.0, atol=1e-9 * max(1.0, domain.length)):
         raise InvalidInputError(f"{path}: x column is not the uniform {kind} grid")
-    return GridFunction(domain, np.asarray(vs))
+    return GridFunction(domain, values)
+
+
+def _first_bad_row(path: str | Path, rows: list[list[str]]) -> str:
+    """Name the first data row that the bulk parse rejects; the header is line 1."""
+    for lineno, row in enumerate(rows[1:], start=2):
+        if row and len(row) != 2:
+            return f"{path}: line {lineno}: expected 2 fields, got {len(row)}"
+        try:
+            [float(field) for field in row]
+        except ValueError:
+            return f"{path}: line {lineno}: non-numeric field"
+    return f"{path}: malformed rows"
 
 
 def write_fourier_json(series: FourierSeries, path: str | Path) -> None:

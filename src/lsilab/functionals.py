@@ -116,16 +116,20 @@ def write_report_csv(report: FunctionalReport, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def _entropy_integrand(values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    pos = values > 0.0
-    out[pos] = values[pos] ** 2 * np.log(values[pos])
+    """v^2 log v with 0^2 log 0 = 0; ``values`` must be nonnegative."""
+    out = np.where(values > 0.0, values, 1.0)
+    np.log(out, out=out)
+    out *= values * values
     return out
 
 
 def _check_nonnegative(values: np.ndarray) -> np.ndarray:
+    """The values with entries in [-NEGATIVE_TOL, 0) clamped to 0; no copy if none are."""
     low = float(np.min(values))
     if low < -NEGATIVE_TOL:
         raise NegativeFunctionError(f"minimum value {low:.3e} is below -{NEGATIVE_TOL:.0e}")
+    if low >= 0.0:
+        return values
     return np.clip(values, 0.0, None)
 
 
@@ -208,13 +212,12 @@ def lsi_deficit_general(f: GridFunction) -> FunctionalReport:
 
 def lsi_deficit_density_form(f: GridFunction) -> FunctionalReport:
     """Fisher-information form: deficit of
-    ``(2*pi^2/L^2) * (integral f log f - m log m) <= integral (f')^2 / f``
-    with m the mean of f over [a, b].
+    ``(2*pi^2/L^2) * (integral f log f - L * m log m) <= integral (f')^2 / f``
+    with m the mean of f over [a, b], L = b - a.
 
-    Requires strictly positive values (min >= 1e-12). Note the mean
-    correction ``m log m`` is not scaled by the interval length; on
-    unit-length intervals this deficit equals four times the deficit of
-    the square root of f under :func:`lsi_deficit_general`.
+    Requires strictly positive values (min >= 1e-12). This deficit equals
+    four times the deficit of the square root of f under
+    :func:`lsi_deficit_general`, so it vanishes on constants.
     """
     if not isinstance(f.domain, Interval):
         raise DomainMismatchError("density form requires an interval domain")
@@ -232,7 +235,7 @@ def lsi_deficit_density_form(f: GridFunction) -> FunctionalReport:
     d = differentiate(f).values
     fisher = float(w @ (d * d / values))
     constant = 2.0 * PI_SQUARED / length**2
-    correction = m * math.log(m)
+    correction = length * m * math.log(m)
     deficit = fisher - constant * (ent - correction)
     ratio = fisher / ent if ent > 0.0 else None
     return FunctionalReport(mass, ent, fisher, constant, deficit, ratio, correction)

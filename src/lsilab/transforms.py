@@ -190,7 +190,7 @@ def _density_report(f: GridFunction, fisher: float, log_mass: float) -> Function
     if isinstance(f.domain, Interval):
         constant = 2.0 * PI_SQUARED / length**2
         m = mass / length
-        correction = m * math.log(m)
+        correction = length * m * math.log(m)
     else:
         if not is_unit_circle(f.domain):
             raise DomainMismatchError("square-root lift reports require a unit circle")

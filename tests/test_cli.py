@@ -20,7 +20,7 @@ from lsilab import (
     write_fourier_json,
     write_grid_csv,
 )
-from lsilab.cli import main
+from lsilab.cli import DEFAULT_TOLERANCES, build_parser, main, parse_config
 from lsilab.experiments import DiazProbeReport, DiazQResult
 
 
@@ -312,3 +312,31 @@ def test_console_entry_point_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "eigenvalue=" in proc.stdout
     assert (tmp_path / "eigen-smoke.json").exists()
+
+
+def test_non_utf8_input_exits_one_with_one_line(tmp_path, capsys):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"x,value\n0.0,\xff\xfe\n" + bytes(range(256)))
+    code = main(["functional", "--input", str(path), "--domain", "interval",
+                 "--output", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"lsilab: error: {path}: not a UTF-8 text file\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cached_parser_keeps_calls_apart(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    first = parse_config(["verify", "--input", "a.csv", "--domain", "interval",
+                          "--tolerance", "eigenvalue=0.5", "--N", "2049"])
+    assert first.tolerance("eigenvalue") == 0.5
+    second = parse_config(["verify", "--input", "b.csv", "--domain", "circle"])
+    assert second.tolerances == {}
+    assert second.tolerance("eigenvalue") == DEFAULT_TOLERANCES["eigenvalue"]
+    assert (second.input_path, second.domain_kind, second.n) == ("b.csv", "circle", 4096)
+    # a negative tolerance fails the check; the next call must not inherit it
+    out = str(tmp_path / "eigen.json")
+    assert main(["eigen", "--N", "64", "--tolerance", "eigenvalue=-1", "--output", out]) == 2
+    assert "spectral-gap check failed" in capsys.readouterr().err
+    assert main(["eigen", "--N", "64", "--output", out]) == 0
+    assert capsys.readouterr().err == ""

@@ -1,5 +1,7 @@
 """Grids, quadrature, differentiation and Fourier representations."""
 
+import csv
+import hashlib
 import math
 
 import numpy as np
@@ -309,6 +311,140 @@ def test_grid_csv_reports_bad_line_number(tmp_path):
     rows[10] = "0.29032258064516131,not_a_number"
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(InvalidInputError, match="line 11"):
+        read_grid_csv(path, "interval")
+
+
+def _golden_values(n):
+    # exactly rounded arithmetic, plus extremes that exercise float repr
+    v = 1.0 / (3.0 + np.arange(n)) - 0.125
+    v[:4] = [1e-300, -2.5e300, -0.0, 1.0 / 3.0]
+    return v
+
+
+# sha256 of the bytes the per-row writer produced for these grids
+GOLDEN_GRID_CSV = {
+    "interval": (Interval(-0.5, 2.0), 33,
+                 "9fd5f7db6bfbd5e312f0616336041eed60ad41641a04bca8970742e7b66b2c87"),
+    "circle": (Circle(2.0), 32,
+               "66169de111c6732ee0aea593cfdd051d2de47564ac67cf4a94048101f300a714"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_GRID_CSV))
+def test_write_grid_csv_golden_bytes(tmp_path, kind):
+    domain, n, digest = GOLDEN_GRID_CSV[kind]
+    path = tmp_path / f"{kind}.csv"
+    write_grid_csv(GridFunction(domain, _golden_values(n)), path)
+    data = path.read_bytes()
+    assert data.startswith(b"x,value\n")
+    assert data.count(b"\n") == n + 1
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def _read_grid_csv_by_row(path, kind):
+    """Reference reader: one row at a time, converting as it goes."""
+    xs, vs = [], []
+    with open(path, newline="", encoding="utf-8") as handle:
+        for lineno, row in enumerate(csv.reader(handle), start=1):
+            if lineno == 1:
+                if [c.strip() for c in row] != ["x", "value"]:
+                    raise InvalidInputError(f"{path}: line 1: expected header 'x,value'")
+                continue
+            if not row:
+                continue
+            if len(row) != 2:
+                raise InvalidInputError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+            try:
+                xs.append(float(row[0]))
+                vs.append(float(row[1]))
+            except ValueError:
+                raise InvalidInputError(f"{path}: line {lineno}: non-numeric field") from None
+    if len(xs) < 16:
+        raise InvalidInputError(f"{path}: need at least 16 rows, got {len(xs)}")
+    x = np.asarray(xs)
+    domain = Interval(x[0], x[-1]) if kind == "interval" else Circle((x[1] - x[0]) * x.size)
+    return GridFunction(domain, np.asarray(vs))
+
+
+def _grid_rows(n=32):
+    return [f"{i / (n - 1)!r},{1.0 + i / 7!r}" for i in range(n)]
+
+
+def _with_row(index, text):
+    rows = _grid_rows()
+    rows[index] = text
+    return "x,value\n" + "\n".join(rows) + "\n"
+
+
+ACCEPTED_GRID_CSV = {
+    "crlf": "x,value\r\n" + "\r\n".join(_grid_rows()) + "\r\n",
+    "quoted": '"x","value"\n' + "\n".join(
+        f'"{x}",{v}' if i % 2 else f'{x},"{v}"'
+        for i, (x, v) in enumerate(r.split(",") for r in _grid_rows())
+    ) + "\n",
+    "blank-rows": "x,value\n\n" + "\n\n".join(_grid_rows()) + "\n\n\n",
+    "header-spaces": "  x , value \n" + "\n".join(_grid_rows()) + "\n",
+    "field-spaces": "x,value\n" + "\n".join(r.replace(",", " , ") for r in _grid_rows()) + "\n",
+}
+
+REJECTED_GRID_CSV = {
+    "bad-header": ("x,val\n" + "\n".join(_grid_rows()) + "\n", "line 1: expected header 'x,value'"),
+    "blank-header": ("\nx,value\n" + "\n".join(_grid_rows()) + "\n", "line 1: expected header 'x,value'"),
+    "one-field": (_with_row(4, "0.125"), "line 6: expected 2 fields, got 1"),
+    "three-fields": (_with_row(20, "0.5,1.0,2.0"), "line 22: expected 2 fields, got 3"),
+    "non-numeric-x": (_with_row(9, "nine,1.0"), "line 11: non-numeric field"),
+    "non-numeric-value": (_with_row(30, "0.9,high"), "line 32: non-numeric field"),
+    "non-numeric-before-count": (
+        _with_row(3, "0.1,abc").replace(_grid_rows()[7], "0.2"),
+        "line 5: non-numeric field",
+    ),
+    "count-before-non-numeric": (
+        _with_row(3, "0.1").replace(_grid_rows()[7], "0.2,abc"),
+        "line 5: expected 2 fields, got 1",
+    ),
+    "too-few-rows": ("x,value\n" + "\n".join(_grid_rows()[:5]) + "\n", "need at least 16 rows, got 5"),
+    "empty": ("", "need at least 16 rows, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCEPTED_GRID_CSV))
+def test_read_grid_csv_accepts_what_the_row_reader_accepts(tmp_path, case):
+    path = tmp_path / f"{case}.csv"
+    path.write_bytes(ACCEPTED_GRID_CSV[case].encode())
+    for kind in ("interval", "circle"):
+        got, want = read_grid_csv(path, kind), _read_grid_csv_by_row(path, kind)
+        assert np.array_equal(got.values, want.values)
+        assert got.domain == want.domain
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_GRID_CSV))
+def test_read_grid_csv_rejects_like_the_row_reader(tmp_path, case):
+    text, message = REJECTED_GRID_CSV[case]
+    path = tmp_path / f"{case}.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(InvalidInputError) as want:
+        _read_grid_csv_by_row(path, "interval")
+    with pytest.raises(InvalidInputError) as got:
+        read_grid_csv(path, "interval")
+    assert str(got.value) == str(want.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("data", [
+    bytes(range(256)) * 8,
+    "x,value\n0.0,1.0\n".encode("utf-16"),
+    "x,value\n0.0,caf\u00e9\n".encode("latin-1"),
+])
+def test_read_grid_csv_rejects_non_utf8_bytes(tmp_path, data):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(data)
+    with pytest.raises(InvalidInputError, match="not a UTF-8 text file"):
+        read_grid_csv(path, "interval")
+
+
+def test_read_grid_csv_rejects_oversized_field(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("x,value\n" + "1" * (csv.field_size_limit() + 1) + ",1.0\n")
+    with pytest.raises(InvalidInputError, match="line 2"):
         read_grid_csv(path, "interval")
 
 

@@ -16,6 +16,7 @@ from lsilab import (
     DomainMismatchError,
     Family,
     FOUR_PI_SQUARED,
+    GridFunction,
     Interval,
     NegativeFunctionError,
     NonPositiveFunctionError,
@@ -41,6 +42,8 @@ from lsilab import (
     wirtinger_deficit,
 )
 from lsilab.experiments import random_admissible_function
+from lsilab.function_space import quadrature_weights
+from lsilab.functionals import _check_nonnegative, _entropy_integrand
 
 # [frozen] integral f_eps^2 log f_eps on [0, 1] for the sharpness family
 ENTROPY_SHARPNESS = {
@@ -86,6 +89,38 @@ def test_entropy_zero_convention_and_clamp():
     values[0] = -5e-13  # inside the clamp band
     f = from_callable(UNIT_INTERVAL, 33, lambda x: x).with_values(values)
     assert math.isfinite(entropy(f))
+
+
+def _masked_entropy_integrand(values):
+    # reference: clamp, then v^2 log v on the positive entries only
+    values = np.clip(values, 0.0, None)
+    out = np.zeros_like(values)
+    pos = values > 0.0
+    out[pos] = values[pos] ** 2 * np.log(values[pos])
+    return out
+
+
+def test_entropy_integrand_is_bit_identical_to_the_masked_formula():
+    rng = np.random.default_rng(7)
+    with_zeros = rng.uniform(0.0, 3.0, 4097)
+    with_zeros[::5] = 0.0
+    clamped = with_zeros.copy()
+    clamped[1::7] = -rng.uniform(0.0, 1e-12, clamped[1::7].size)
+    clamped[3] = -0.0
+    for values in (with_zeros, clamped, np.exp(rng.uniform(-690.0, 300.0, 257))):
+        f = GridFunction(UNIT_INTERVAL, values)
+        integrand = _entropy_integrand(_check_nonnegative(f.values))
+        assert np.array_equal(integrand, _masked_entropy_integrand(values))
+        w = quadrature_weights(f.domain, f.n)
+        assert entropy(f) == float(w @ _masked_entropy_integrand(values))
+
+
+def test_check_nonnegative_copies_only_to_clamp():
+    values = np.array([0.0, 1.0, 2.0])
+    assert _check_nonnegative(values) is values
+    clamped = np.array([-1e-13, 1.0, 2.0])
+    assert np.array_equal(_check_nonnegative(clamped), [0.0, 1.0, 2.0])
+    assert clamped[0] == -1e-13
 
 
 def test_entropy_rejects_negative_function():
@@ -216,6 +251,15 @@ def test_density_form_matches_square_root_lift():
     assert abs(density.deficit - 4.0 * interval.deficit) <= 1e-7
 
 
+@pytest.mark.parametrize("b", [0.5, 2.0, 3.0])
+def test_density_form_matches_square_root_lift_off_unit_length(b):
+    # f = g^2 turns the rescaled deficit of g into a quarter of the Fisher deficit of f
+    g = from_callable(Interval(0.0, b), 2049, lambda x: 1.5 + 0.4 * np.cos(math.pi * x / b))
+    density = lsi_deficit_density_form(g.with_values(g.values**2))
+    assert density.deficit >= 0.0
+    assert abs(density.deficit - 4.0 * lsi_deficit_general(g).deficit) <= 1e-7
+
+
 def test_density_form_against_oracle():
     f = from_callable(UNIT_INTERVAL, 2049, lambda x: np.exp(-0.1 * np.cos(math.pi * x)))
     report = lsi_deficit_density_form(f)
@@ -339,3 +383,8 @@ def test_every_deficit_vanishes_on_admissible_constants():
     assert abs(lsi_deficit_density_form(interval_one).deficit) <= 1e-9
     assert abs(wirtinger_deficit(interval_one)) <= 1e-9
     assert abs(diaz_deficit(interval_one, DiazConfig(2.0, 1025))) <= 1e-9
+    # off unit length the Fisher form must correct by L * m log m
+    for b in (0.5, 2.0, 3.0):
+        constant = sample_family(Family.CONSTANT, [2.0], Interval(0.0, b), 1025)
+        assert abs(lsi_deficit_general(constant).deficit) <= 1e-9
+        assert abs(lsi_deficit_density_form(constant).deficit) <= 1e-9

@@ -161,6 +161,14 @@ def test_sqrt_lift_constant():
     assert cert.identity_residuals["fisher_chain_rule"] <= 1e-12
 
 
+@pytest.mark.parametrize("b", [0.5, 2.0, 3.0])
+def test_sqrt_lift_constant_off_unit_length_has_zero_input_deficit(b):
+    f = sample_family(Family.CONSTANT, [2.0], Interval(0.0, b), 65)
+    _, cert = sqrt_lift(f)
+    assert abs(cert.input_report.deficit) <= 1e-9
+    assert abs(cert.output_report.deficit) <= 1e-9
+
+
 def test_sqrt_lift_of_squared_sharpness_member():
     base = sample_family(Family.SHARPNESS, [0.25], UNIT_INTERVAL, 1025)
     f = base.with_values(base.values**2)
