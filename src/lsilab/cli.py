@@ -18,40 +18,23 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import experiments, functionals, transforms
 from .errors import LsiLabError, ParamOutOfRangeError
 from .function_space import (
     Circle,
-    GridFunction,
     Interval,
     from_fourier,
     is_unit_circle,
-    is_unit_interval,
     read_fourier_json,
     read_grid_csv,
     write_grid_csv,
-)
-
-COMMANDS = (
-    "functional",
-    "verify",
-    "reflect",
-    "normalize",
-    "sqrt-lift",
-    "sweep",
-    "wang",
-    "optimize",
-    "diaz",
-    "eigen",
-    "weissler",
+    write_json,
 )
 
 MAX_SAMPLES = 2**24
@@ -65,57 +48,24 @@ DEFAULT_TOLERANCES = {
     "entropy": 1e-7,
     "eigenvalue": 1e-7,
     "optimizer": 1e-6,
-    "diaz": 1e-7,
 }
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation of one CLI command."""
-
-    command: str
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    n: int = 4096
-    n_max: int = 64
-    seed: int = 0
-    tolerances: dict = field(default_factory=dict)
-    domain_kind: Optional[str] = None
-    form: str = "auto"
-    eps: float = 0.2
-    eps_list: tuple = ()
-    q_list: tuple = ()
-    trials: int = 100
-    n_modes: int = 16
-    max_iters: int = 5000
-    extrapolate: bool = False
-
-    def tolerance(self, name: str) -> float:
-        if name in self.tolerances:
-            return self.tolerances[name]
-        if "*" in self.tolerances:
-            return self.tolerances["*"]
-        return DEFAULT_TOLERANCES[name]
-
-    def validate(self) -> None:
-        if self.command not in COMMANDS:
-            raise ParamOutOfRangeError(f"unknown command {self.command!r}")
-        if not (16 <= self.n <= MAX_SAMPLES):
-            raise ParamOutOfRangeError(f"N must lie in [16, {MAX_SAMPLES}], got {self.n}")
-
-
 def _parse_tolerances(items: Sequence[str]) -> dict:
+    """Every tolerance in DEFAULT_TOLERANCES after the overrides; ``*`` sets all unnamed."""
     out = {}
     for item in items:
         name, sep, value = item.partition("=")
+        name = name.strip() if sep else "*"
+        if name != "*" and name not in DEFAULT_TOLERANCES:
+            raise ParamOutOfRangeError(f"unknown tolerance {name!r} in {item!r}")
         try:
-            if sep:
-                out[name.strip()] = float(value)
-            else:
-                out["*"] = float(name)
+            out[name] = float(value if sep else item)
         except ValueError:
             raise ParamOutOfRangeError(f"bad tolerance override {item!r}") from None
-    return out
+    return {
+        name: out.get(name, out.get("*", default)) for name, default in DEFAULT_TOLERANCES.items()
+    }
 
 
 def _parse_float_list(text: str, what: str) -> tuple:
@@ -125,16 +75,12 @@ def _parse_float_list(text: str, what: str) -> tuple:
         raise ParamOutOfRangeError(f"bad {what} list {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``lsilab`` argument parser, built on first use and shared after that.
 
     Parsing does not change the parser, so one instance serves every call.
     """
-    return _parser()
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lsilab",
         description="Log-Sobolev inequality laboratory: functionals, transforms and experiments.",
@@ -198,212 +144,167 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv: Sequence[str]) -> RunConfig:
+def parse_config(argv: Sequence[str] | None) -> argparse.Namespace:
+    """Parsed arguments, with ``tolerances`` resolved and the --eps/--q lists split."""
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_path=args.output,
-        n=args.n,
-        n_max=args.n_max,
-        seed=args.seed,
-        tolerances=_parse_tolerances(args.tolerance),
-        domain_kind=getattr(args, "domain", None),
-        form=getattr(args, "form", "auto"),
-        extrapolate=getattr(args, "extrapolate", False),
-        trials=getattr(args, "trials", 100),
-        n_modes=getattr(args, "n_modes", 16),
-        max_iters=getattr(args, "max_iters", 5000),
-    )
-    if args.command == "wang":
-        cfg.eps = args.eps
+    args.tolerances = _parse_tolerances(args.tolerance)
     if args.command == "sweep":
-        cfg.eps_list = _parse_float_list(args.eps, "epsilon")
+        args.eps = _parse_float_list(args.eps, "epsilon")
     if args.command == "diaz":
-        cfg.q_list = _parse_float_list(args.q, "q")
-    return cfg
+        args.q = _parse_float_list(args.q, "q")
+    if not (16 <= args.n <= MAX_SAMPLES):
+        raise ParamOutOfRangeError(f"N must lie in [16, {MAX_SAMPLES}], got {args.n}")
+    return args
 
 
-def _resolve_output(cfg: RunConfig, default_name: str) -> Path:
-    path = Path(cfg.output_path) if cfg.output_path else Path(default_name)
+def _resolve_output(args: argparse.Namespace, default_name: str) -> Path:
+    path = Path(args.output) if args.output else Path(default_name)
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not path.is_absolute():
         path = Path(base) / path
     return path
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _read_input_grid(cfg: RunConfig, kind: str) -> GridFunction:
-    return read_grid_csv(cfg.input_path, kind)
-
-
-def _deficit_report(f: GridFunction) -> functionals.FunctionalReport:
-    if isinstance(f.domain, Interval):
-        return functionals.lsi_deficit_general(f)
-    if not is_unit_circle(f.domain):
-        raise ParamOutOfRangeError(
-            "circle deficits are defined for circumference 1; rescale the input"
+def _deficit(args: argparse.Namespace) -> int:
+    """``functional`` and ``verify``: one deficit form of a grid CSV."""
+    f = read_grid_csv(args.input, args.domain)
+    out = _resolve_output(args, f"{args.command}.json")
+    if args.form == "wirtinger":
+        deficit = functionals.wirtinger_deficit(f)
+        write_json(
+            {"form": "wirtinger", "constant": functionals.PI_SQUARED, "deficit": deficit},
+            out,
         )
-    return functionals.lsi_deficit_circle(f)
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    try:
-        cfg.validate()
-        return _dispatch(cfg)
-    except LsiLabError as exc:
-        print(f"lsilab: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"lsilab: error: {exc}", file=sys.stderr)
-        return 1
-
-
-def _dispatch(cfg: RunConfig) -> int:
-    command = cfg.command
-
-    if command in ("functional", "verify"):
-        f = _read_input_grid(cfg, cfg.domain_kind)
-        out = _resolve_output(cfg, f"{command}.json")
-        if cfg.form == "wirtinger":
-            deficit = functionals.wirtinger_deficit(f)
-            _write_json(
-                {"form": "wirtinger", "constant": functionals.PI_SQUARED, "deficit": deficit},
-                out,
-            )
+    else:
+        if args.form == "density":
+            report = functionals.lsi_deficit_density_form(f)
+        elif isinstance(f.domain, Interval):
+            report = functionals.lsi_deficit_general(f)
+        elif is_unit_circle(f.domain):
+            report = functionals.lsi_deficit_circle(f)
         else:
-            report = (
-                functionals.lsi_deficit_density_form(f)
-                if cfg.form == "density"
-                else _deficit_report(f)
+            raise ParamOutOfRangeError(
+                "circle deficits are defined for circumference 1; rescale the input"
             )
-            deficit = report.deficit
-            if out.suffix == ".csv":
-                functionals.write_report_csv(report, out)
-            else:
-                functionals.write_report_json(report, out)
-        print(f"deficit={deficit!r}")
-        if command == "verify" and deficit < -cfg.tolerance("deficit"):
-            print(
-                "lsilab: proven inequality violated numerically "
-                f"(deficit {deficit!r}); check the discretization",
-                file=sys.stderr,
-            )
-            return 2
-        return 0
+        deficit = report.deficit
+        if out.suffix == ".csv":
+            functionals.write_report_csv(report, out)
+        else:
+            write_json(report.to_dict(), out)
+    print(f"deficit={deficit!r}")
+    if args.command == "verify" and deficit < -args.tolerances["deficit"]:
+        print(
+            "lsilab: proven inequality violated numerically "
+            f"(deficit {deficit!r}); check the discretization",
+            file=sys.stderr,
+        )
+        return 2
+    return 0
 
-    if command == "reflect":
-        f = _read_input_grid(cfg, "interval")
-        g, cert = transforms.reflect_to_circle(f)
-        out = _resolve_output(cfg, "reflect.csv")
-        write_grid_csv(g, out)
-        transforms.write_certificate_json(cert, out.with_name(out.name + ".cert.json"))
-        print(f"residuals={cert.identity_residuals}")
-        return 0
 
-    if command == "normalize":
-        f = _read_input_grid(cfg, "interval")
+def _transform(args: argparse.Namespace) -> int:
+    """``reflect``, ``normalize`` and ``sqrt-lift``: output grid plus certificate."""
+    f = read_grid_csv(args.input, getattr(args, "domain", "interval"))
+    if args.command == "normalize":
         g, m, cert = transforms.affine_normalize(f)
-        out = _resolve_output(cfg, "normalize.csv")
-        write_grid_csv(g, out)
-        transforms.write_certificate_json(cert, out.with_name(out.name + ".cert.json"))
-        print(f"m={m!r}")
-        return 0
-
-    if command == "sqrt-lift":
-        f = _read_input_grid(cfg, cfg.domain_kind)
-        g, cert = transforms.sqrt_lift(f)
-        out = _resolve_output(cfg, "sqrt-lift.csv")
-        write_grid_csv(g, out)
-        transforms.write_certificate_json(cert, out.with_name(out.name + ".cert.json"))
-        print(f"residuals={cert.identity_residuals}")
-        return 0
-
-    if command == "sweep":
-        records = experiments.sharpness_sweep(cfg.eps_list, cfg.n)
-        out = _resolve_output(cfg, "sweep.csv")
-        experiments.write_sweep_csv(records, out)
-        if cfg.extrapolate:
-            constant = experiments.extrapolate_constant(records)
-            print(f"extrapolated_constant={constant!r}")
-        return 0
-
-    if command == "wang":
-        residual = experiments.wang_ode_residual(cfg.eps, cfg.n)
-        out = _resolve_output(cfg, "wang.json")
-        _write_json({"eps": cfg.eps, "n": cfg.n, "residual": residual}, out)
-        print(f"residual={residual!r}")
-        if residual > cfg.tolerance("residual"):
-            print(
-                f"lsilab: ODE residual {residual!r} above tolerance; "
-                "the identity is exact, so the discretization is off",
-                file=sys.stderr,
-            )
-            return 2
-        return 0
-
-    if command == "optimize":
-        domain = Interval(0.0, 1.0) if cfg.domain_kind != "circle" else Circle(1.0)
-        result = experiments.minimize_deficit(
-            domain, cfg.n_modes, cfg.seed, cfg.max_iters, n=cfg.n
-        )
-        out = _resolve_output(cfg, "optimize.json")
-        _write_json(result.to_dict(), out)
-        print(f"best_deficit={result.best_deficit!r} iterations={result.iterations}")
-        if result.best_deficit < -cfg.tolerance("optimizer"):
-            print(
-                "lsilab: optimizer produced a negative deficit for a proven "
-                "inequality; check the quadrature settings",
-                file=sys.stderr,
-            )
-            return 2
-        return 0
-
-    if command == "diaz":
-        report = experiments.diaz_probe(
-            cfg.q_list, cfg.trials, cfg.seed, n=cfg.n, modes=min(cfg.n_max, 64)
-        )
-        out = _resolve_output(cfg, "diaz.csv")
-        if out.suffix == ".json":
-            experiments.write_probe_json(report, out)
+        summary = f"m={m!r}"
+    else:
+        if args.command == "reflect":
+            g, cert = transforms.reflect_to_circle(f)
         else:
-            experiments.write_probe_csv(report, out)
-        for r in report.results:
-            print(f"q={r.q!r} min_deficit={r.min_deficit!r}")
-        if report.counterexamples:
-            paths = experiments.write_counterexamples(report, out)
-            names = ", ".join(str(p) for p in paths)
-            print(f"lsilab: counterexample candidates written to {names}", file=sys.stderr)
-            return 3
-        return 0
+            g, cert = transforms.sqrt_lift(f)
+        summary = f"residuals={cert.identity_residuals}"
+    out = _resolve_output(args, f"{args.command}.csv")
+    write_grid_csv(g, out)
+    write_json(cert.to_dict(), out.with_name(out.name + ".cert.json"))
+    print(summary)
+    return 0
 
-    if command == "eigen":
-        # cap the scanned modes so every harmonic (and its square) stays
-        # resolvable on the n-point grid
-        value = experiments.eigenvalue_check(cfg.n, min(cfg.n_max, max(1, cfg.n // 4)))
-        reference = 4.0 * math.pi**2
-        out = _resolve_output(cfg, "eigen.json")
-        _write_json({"eigenvalue": value, "reference": reference, "n": cfg.n}, out)
-        print(f"eigenvalue={value!r}")
-        if abs(value - reference) > cfg.tolerance("eigenvalue"):
-            print("lsilab: spectral-gap check failed", file=sys.stderr)
-            return 2
-        return 0
 
-    # weissler
-    series = read_fourier_json(cfg.input_path)
-    synthesis = from_fourier(series, cfg.n)
+def _sweep(args: argparse.Namespace) -> int:
+    records = experiments.sharpness_sweep(args.eps, args.n)
+    out = _resolve_output(args, "sweep.csv")
+    experiments.write_sweep_csv(records, out)
+    if args.extrapolate:
+        constant = experiments.extrapolate_constant(records)
+        print(f"extrapolated_constant={constant!r}")
+    return 0
+
+
+def _wang(args: argparse.Namespace) -> int:
+    residual = experiments.wang_ode_residual(args.eps, args.n)
+    out = _resolve_output(args, "wang.json")
+    write_json({"eps": args.eps, "n": args.n, "residual": residual}, out)
+    print(f"residual={residual!r}")
+    if residual > args.tolerances["residual"]:
+        print(
+            f"lsilab: ODE residual {residual!r} above tolerance; "
+            "the identity is exact, so the discretization is off",
+            file=sys.stderr,
+        )
+        return 2
+    return 0
+
+
+def _optimize(args: argparse.Namespace) -> int:
+    domain = Interval(0.0, 1.0) if args.domain != "circle" else Circle(1.0)
+    result = experiments.minimize_deficit(
+        domain, args.n_modes, args.seed, args.max_iters, n=args.n
+    )
+    out = _resolve_output(args, "optimize.json")
+    write_json(result.to_dict(), out)
+    print(f"best_deficit={result.best_deficit!r} iterations={result.iterations}")
+    if result.best_deficit < -args.tolerances["optimizer"]:
+        print(
+            "lsilab: optimizer produced a negative deficit for a proven "
+            "inequality; check the quadrature settings",
+            file=sys.stderr,
+        )
+        return 2
+    return 0
+
+
+def _diaz(args: argparse.Namespace) -> int:
+    report = experiments.diaz_probe(
+        args.q, args.trials, args.seed, n=args.n, modes=min(args.n_max, 64)
+    )
+    out = _resolve_output(args, "diaz.csv")
+    if out.suffix == ".json":
+        write_json(report.to_dict(), out)
+    else:
+        experiments.write_probe_csv(report, out)
+    for r in report.results:
+        print(f"q={r.q!r} min_deficit={r.min_deficit!r}")
+    if report.counterexamples:
+        paths = experiments.write_counterexamples(report, out)
+        names = ", ".join(str(p) for p in paths)
+        print(f"lsilab: counterexample candidates written to {names}", file=sys.stderr)
+        return 3
+    return 0
+
+
+def _eigen(args: argparse.Namespace) -> int:
+    # cap the scanned modes so every harmonic (and its square) stays
+    # resolvable on the n-point grid
+    value = experiments.eigenvalue_check(args.n, min(args.n_max, max(1, args.n // 4)))
+    reference = 4.0 * math.pi**2
+    out = _resolve_output(args, "eigen.json")
+    write_json({"eigenvalue": value, "reference": reference, "n": args.n}, out)
+    print(f"eigenvalue={value!r}")
+    if abs(value - reference) > args.tolerances["eigenvalue"]:
+        print("lsilab: spectral-gap check failed", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _weissler(args: argparse.Namespace) -> int:
+    series = read_fourier_json(args.input)
+    synthesis = from_fourier(series, args.n)
     ent = functionals.entropy(synthesis) / series.circumference
     abs_bound = functionals.weissler_bound(series, functionals.WeightPower.ABS_N)
     sq_bound = functionals.weissler_bound(series, functionals.WeightPower.N_SQUARED)
-    out = _resolve_output(cfg, "weissler.json")
-    _write_json(
+    out = _resolve_output(args, "weissler.json")
+    write_json(
         {
             "entropy": ent,
             "abs_n_bound": abs_bound,
@@ -413,22 +314,37 @@ def _dispatch(cfg: RunConfig) -> int:
         out,
     )
     print(f"entropy={ent!r} abs_n_bound={abs_bound!r} n_squared_bound={sq_bound!r}")
-    tol = cfg.tolerance("entropy")
+    tol = args.tolerances["entropy"]
     if ent > abs_bound + tol or abs_bound > sq_bound + tol:
         print("lsilab: Fourier-side entropy bound violated numerically", file=sys.stderr)
         return 2
     return 0
 
 
+#: Command name -> function of the parsed arguments returning the exit code.
+COMMANDS = {
+    "functional": _deficit,
+    "verify": _deficit,
+    "reflect": _transform,
+    "normalize": _transform,
+    "sqrt-lift": _transform,
+    "sweep": _sweep,
+    "wang": _wang,
+    "optimize": _optimize,
+    "diaz": _diaz,
+    "eigen": _eigen,
+    "weissler": _weissler,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run one command; ``argv`` defaults to the process arguments. Returns the exit code."""
     try:
-        cfg = parse_config(list(argv))
-    except LsiLabError as exc:
+        args = parse_config(argv)
+        return COMMANDS[args.command](args)
+    except (LsiLabError, OSError) as exc:
         print(f"lsilab: error: {exc}", file=sys.stderr)
         return 1
-    return run(cfg)
 
 
 if __name__ == "__main__":

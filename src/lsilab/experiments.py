@@ -9,7 +9,6 @@ the functionals module.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,6 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParamOutOfRangeError
 from .function_space import (
-    Circle,
     Domain,
     Family,
     GridFunction,
@@ -40,6 +38,7 @@ from .functionals import (
     DiazConfig,
     FOUR_PI_SQUARED,
     PI_SQUARED,
+    _entropy_integrand,
     diaz_deficit,
     dirichlet_energy,
     entropy,
@@ -229,7 +228,9 @@ def minimize_deficit(
     The proven inequalities make the true deficit nonnegative, so
     ``best_deficit`` should never drop meaningfully below zero, and the
     sharp constants make ``best_ratio`` approach pi^2 (interval) or
-    4 pi^2 (circle) from above.
+    4 pi^2 (circle) from above. That needs a grid that resolves the
+    basis, 2 * n_modes <= n: on a coarser grid the modes alias and the
+    deficit can read below zero.
     """
     if n_modes < 2:
         raise ParamOutOfRangeError(f"need n_modes >= 2, got {n_modes}")
@@ -245,6 +246,8 @@ def minimize_deficit(
             n = 2048
     else:
         raise ParamOutOfRangeError("domain must be [0, 1] or the unit circle")
+    if 2 * n_modes > n:
+        raise ParamOutOfRangeError(f"{n_modes} modes need N >= {2 * n_modes}, got {n}")
 
     basis, deriv = _basis_matrices(domain, n_modes, n)
     w = quadrature_weights(domain, n)
@@ -267,10 +270,7 @@ def minimize_deficit(
         return c / math.sqrt(mass)
 
     def evaluate(c):
-        g = basis @ c
-        ag = np.abs(g)
-        ent_integrand = np.where(ag > 0.0, g * g * np.log(np.where(ag > 0.0, ag, 1.0)), 0.0)
-        ent = float(w @ ent_integrand)
+        ent = float(w @ _entropy_integrand(np.abs(basis @ c)))
         energy = float(c @ energy_form @ c)
         return energy, ent, energy - constant * ent
 
@@ -453,12 +453,6 @@ def write_probe_csv(report: DiazProbeReport, path: str | Path) -> None:
         for r in report.results:
             flag = "true" if r.flagged else "false"
             handle.write(f"{float(r.q)!r},{float(r.min_deficit)!r},{flag}\n")
-
-
-def write_probe_json(report: DiazProbeReport, path: str | Path) -> None:
-    with open(path, "w") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def write_counterexamples(report: DiazProbeReport, stem: str | Path) -> list[Path]:

@@ -187,6 +187,7 @@ def integrate(f: GridFunction) -> float:
 # Differentiation
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def differentiate(f: GridFunction) -> GridFunction:
     """First derivative on the same grid.
 
@@ -200,6 +201,9 @@ def differentiate(f: GridFunction) -> GridFunction:
     subtractions are (near) exact, which keeps the rounding noise of
     repeated differentiation close to the floor set by the float64
     representation of the samples themselves.
+
+    A derivative of finite samples that overflows float64 raises
+    :class:`InvalidInputError` instead of numpy's overflow warnings.
     """
     v = f.values
     if isinstance(f.domain, Circle):
@@ -209,7 +213,7 @@ def differentiate(f: GridFunction) -> GridFunction:
         spectrum *= 2j * np.pi * freqs
         if n % 2 == 0:
             spectrum[-1] = 0.0  # derivative of the Nyquist mode is unrepresentable
-        return GridFunction(f.domain, np.fft.irfft(spectrum, n=n))
+        return _derivative(f, np.fft.irfft(spectrum, n=n))
 
     h = (f.domain.b - f.domain.a) / (f.n - 1)
     d = np.empty_like(v)
@@ -249,6 +253,12 @@ def differentiate(f: GridFunction) -> GridFunction:
         + 16.0 / 63.0 * (v[-8] - v[-1])
         - 0.125 * (v[-9] - v[-1])
     ) / h
+    return _derivative(f, d)
+
+
+def _derivative(f: GridFunction, d: np.ndarray) -> GridFunction:
+    if not np.all(np.isfinite(d)):
+        raise InvalidInputError("derivative overflows float64; rescale the input")
     return GridFunction(f.domain, d)
 
 
@@ -527,6 +537,13 @@ def _first_bad_row(path: str | Path, rows: list[list[str]]) -> str:
     return f"{path}: malformed rows"
 
 
+def write_json(payload: dict, path: str | Path) -> None:
+    """Every JSON output of lsilab: two-space indent, sorted keys, final newline."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def write_fourier_json(series: FourierSeries, path: str | Path) -> None:
     """JSON form ``{circumference, coefficients: [{n, re, im}]}``."""
     payload = {
@@ -536,9 +553,7 @@ def write_fourier_json(series: FourierSeries, path: str | Path) -> None:
             for n in range(-series.n_max, series.n_max + 1)
         ],
     }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(payload, path)
 
 
 def read_fourier_json(path: str | Path) -> FourierSeries:

@@ -9,6 +9,18 @@ bound) should never be meaningfully negative; the power-mean deficit
 probes an open conjecture, so negative values there are findings, not
 errors.
 
+Every log-Sobolev deficit comes from one of two kernels. With L the
+domain length (1 on the unit circle) and c = pi^2 on intervals, 4*pi^2
+on circles:
+
+  kernel                  constant   correction   m
+  _log_sobolev_report     c / L^2    L m^2 log m  root mean square of f
+  _fisher_report          2c / L^2   L m log m    mean of f
+
+The unit-mass forms use the first kernel with correction 0. The Fisher
+form is the f = g^2 image of the first (Gross 1975) but is evaluated
+from f itself, so the square-root lift can check the chain rule.
+
 The entropy functional uses the convention t^2 * log t = 0 at t = 0,
 with values in [-1e-12, 0] clamped to zero to absorb synthesis
 round-off.
@@ -16,9 +28,8 @@ round-off.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional
@@ -35,12 +46,10 @@ from .errors import (
     ZeroMassError,
 )
 from .function_space import (
-    Circle,
     FourierSeries,
     GridFunction,
     Interval,
     differentiate,
-    integrate,
     is_unit_circle,
     is_unit_interval,
     quadrature_weights,
@@ -78,15 +87,7 @@ class FunctionalReport:
     correction: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "mass": self.mass,
-            "entropy": self.entropy,
-            "energy": self.energy,
-            "constant": self.constant,
-            "deficit": self.deficit,
-            "ratio": self.ratio,
-            "correction": self.correction,
-        }
+        return asdict(self)
 
     def csv_row(self) -> str:
         ratio = "" if self.ratio is None else repr(float(self.ratio))
@@ -97,12 +98,6 @@ class FunctionalReport:
 
 
 REPORT_CSV_HEADER = "mass,entropy,energy,constant,deficit,ratio"
-
-
-def write_report_json(report: FunctionalReport, path: str | Path) -> None:
-    with open(path, "w") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def write_report_csv(report: FunctionalReport, path: str | Path) -> None:
@@ -157,17 +152,64 @@ def squared_mass(f: GridFunction) -> float:
 # Log-Sobolev deficits
 # ---------------------------------------------------------------------------
 
-def _unit_mass_deficit(f: GridFunction, constant: float) -> FunctionalReport:
-    mass = squared_mass(f)
-    if abs(mass - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalizedError(
-            f"integral of f^2 is {mass!r}, expected 1 within {NORMALIZATION_TOL:.0e}"
-        )
-    ent = entropy(f)
-    energy = dirichlet_energy(f)
-    deficit = energy - constant * ent
+def _report(
+    mass: float, ent: float, energy: float, constant: float, correction: float
+) -> FunctionalReport:
+    deficit = energy - constant * (ent - correction)
     ratio = energy / ent if ent > 0.0 else None
-    return FunctionalReport(mass, ent, energy, constant, deficit, ratio)
+    return FunctionalReport(mass, ent, energy, constant, deficit, ratio, correction)
+
+
+def _geometry(domain) -> tuple[float, float]:
+    """(L, c): an interval's length and pi^2, or 1 and 4 pi^2 for a circle.
+
+    Circles reach the kernels only as the unit circle within GEOM_TOL, so
+    L is exactly 1, not the rounded circumference of a grid file.
+    """
+    if isinstance(domain, Interval):
+        return domain.length, PI_SQUARED
+    return 1.0, FOUR_PI_SQUARED
+
+
+def _log_sobolev_report(f: GridFunction, unit_mass: bool = False) -> FunctionalReport:
+    """``energy - (c / L^2) * (entropy - L * m^2 * log m)``, m the root mean square.
+
+    With ``unit_mass`` the domain is a unit one, L = 1, the squared mass
+    must be 1 and the correction is 0.
+    """
+    energy = dirichlet_energy(f)  # first: a derivative overflow is named before the squares warn
+    mass = squared_mass(f)
+    length, c = _geometry(f.domain)
+    if unit_mass:
+        if abs(mass - 1.0) > NORMALIZATION_TOL:
+            raise NotNormalizedError(
+                f"integral of f^2 is {mass!r}, expected 1 within {NORMALIZATION_TOL:.0e}"
+            )
+        length, correction = 1.0, 0.0
+    else:
+        m = math.sqrt(max(mass, 0.0) / length)
+        if m <= MASS_TOL:
+            raise ZeroMassError(f"root mean square {m:.3e} is numerically zero")
+        correction = length * m * m * math.log(m)
+    return _report(mass, entropy(f), energy, c / length**2, correction)
+
+
+def _fisher_report(f: GridFunction) -> FunctionalReport:
+    """``fisher - (2c / L^2) * (integral f log f - L * m log m)``, m the mean."""
+    values = f.values
+    low = float(np.min(values))
+    if low < MASS_TOL:
+        raise NonPositiveFunctionError(f"minimum value {low:.3e}; need min >= {MASS_TOL:.0e}")
+    d = differentiate(f).values  # first, as in _log_sobolev_report
+    length, c = _geometry(f.domain)
+    w = quadrature_weights(f.domain, f.n)
+    mass = float(w @ values)
+    m = mass / length
+    if m <= MASS_TOL:
+        raise ZeroMassError(f"mean {m:.3e} is numerically zero")
+    ent = float(w @ (values * np.log(values)))
+    fisher = float(w @ (d * d / values))
+    return _report(mass, ent, fisher, 2.0 * c / length**2, length * m * math.log(m))
 
 
 def lsi_deficit_interval(f: GridFunction) -> FunctionalReport:
@@ -177,14 +219,14 @@ def lsi_deficit_interval(f: GridFunction) -> FunctionalReport:
     """
     if not is_unit_interval(f.domain):
         raise DomainMismatchError("interval deficit requires the domain [0, 1]")
-    return _unit_mass_deficit(f, PI_SQUARED)
+    return _log_sobolev_report(f, unit_mass=True)
 
 
 def lsi_deficit_circle(f: GridFunction) -> FunctionalReport:
     """Deficit of 4*pi^2 * integral f^2 log f <= integral (f')^2 on the unit circle."""
     if not is_unit_circle(f.domain):
         raise DomainMismatchError("circle deficit requires a circle of circumference 1")
-    return _unit_mass_deficit(f, FOUR_PI_SQUARED)
+    return _log_sobolev_report(f, unit_mass=True)
 
 
 def lsi_deficit_general(f: GridFunction) -> FunctionalReport:
@@ -196,18 +238,7 @@ def lsi_deficit_general(f: GridFunction) -> FunctionalReport:
     """
     if not isinstance(f.domain, Interval):
         raise DomainMismatchError("general deficit requires an interval domain")
-    length = f.domain.length
-    mass = squared_mass(f)
-    m = math.sqrt(max(mass, 0.0) / length)
-    if m <= MASS_TOL:
-        raise ZeroMassError(f"root mean square {m:.3e} is numerically zero")
-    ent = entropy(f)
-    energy = dirichlet_energy(f)
-    constant = PI_SQUARED / length**2
-    correction = length * m * m * math.log(m)
-    deficit = energy - constant * (ent - correction)
-    ratio = energy / ent if ent > 0.0 else None
-    return FunctionalReport(mass, ent, energy, constant, deficit, ratio, correction)
+    return _log_sobolev_report(f)
 
 
 def lsi_deficit_density_form(f: GridFunction) -> FunctionalReport:
@@ -221,24 +252,7 @@ def lsi_deficit_density_form(f: GridFunction) -> FunctionalReport:
     """
     if not isinstance(f.domain, Interval):
         raise DomainMismatchError("density form requires an interval domain")
-    values = f.values
-    low = float(np.min(values))
-    if low < MASS_TOL:
-        raise NonPositiveFunctionError(f"minimum value {low:.3e}; need min >= {MASS_TOL:.0e}")
-    length = f.domain.length
-    w = quadrature_weights(f.domain, f.n)
-    mass = float(w @ values)
-    m = mass / length
-    if m <= MASS_TOL:
-        raise ZeroMassError(f"mean {m:.3e} is numerically zero")
-    ent = float(w @ (values * np.log(values)))
-    d = differentiate(f).values
-    fisher = float(w @ (d * d / values))
-    constant = 2.0 * PI_SQUARED / length**2
-    correction = length * m * math.log(m)
-    deficit = fisher - constant * (ent - correction)
-    ratio = fisher / ent if ent > 0.0 else None
-    return FunctionalReport(mass, ent, fisher, constant, deficit, ratio, correction)
+    return _fisher_report(f)
 
 
 # ---------------------------------------------------------------------------

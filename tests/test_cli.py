@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -329,14 +330,57 @@ def test_cached_parser_keeps_calls_apart(tmp_path, capsys):
     assert build_parser() is build_parser()
     first = parse_config(["verify", "--input", "a.csv", "--domain", "interval",
                           "--tolerance", "eigenvalue=0.5", "--N", "2049"])
-    assert first.tolerance("eigenvalue") == 0.5
+    assert first.tolerances["eigenvalue"] == 0.5
     second = parse_config(["verify", "--input", "b.csv", "--domain", "circle"])
-    assert second.tolerances == {}
-    assert second.tolerance("eigenvalue") == DEFAULT_TOLERANCES["eigenvalue"]
-    assert (second.input_path, second.domain_kind, second.n) == ("b.csv", "circle", 4096)
+    assert second.tolerances == DEFAULT_TOLERANCES
+    assert second.tolerances["eigenvalue"] == DEFAULT_TOLERANCES["eigenvalue"]
+    assert (second.input, second.domain, second.n) == ("b.csv", "circle", 4096)
     # a negative tolerance fails the check; the next call must not inherit it
     out = str(tmp_path / "eigen.json")
     assert main(["eigen", "--N", "64", "--tolerance", "eigenvalue=-1", "--output", out]) == 2
     assert "spectral-gap check failed" in capsys.readouterr().err
     assert main(["eigen", "--N", "64", "--output", out]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_optimize_with_more_modes_than_the_grid_exits_one(tmp_path, capsys):
+    out = tmp_path / "opt.json"
+    code = main(["optimize", "--n-modes", "5000", "--N", "64", "--max-iters", "3",
+                 "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "lsilab: error: 5000 modes need N >= 10000, got 64\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["functional", "--domain", "interval"],
+    ["verify", "--domain", "interval", "--form", "density"],
+    ["verify", "--domain", "interval", "--form", "wirtinger"],
+    ["reflect"], ["normalize"], ["sqrt-lift", "--domain", "interval"],
+])
+def test_overflowing_derivative_exits_one_with_one_line(tmp_path, capsys, command):
+    f = from_callable(UNIT_INTERVAL, 65, lambda x: 1e308 * (1.0 + 0.7 * np.cos(40.0 * x)))
+    assert np.all(np.isfinite(f.values))
+    path = tmp_path / "huge.csv"
+    write_grid_csv(f, path)
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy overflow warnings would add stderr lines
+        code = main(command + ["--input", str(path), "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "lsilab: error: derivative overflows float64; rescale the input\n"
+    )
+    assert not out.exists()
+
+
+def test_unknown_tolerance_name_exits_one(tmp_path, capsys):
+    out = str(tmp_path / "eigen.json")
+    assert main(["eigen", "--N", "64", "--tolerance", "diaz=1e-7", "--output", out]) == 1
+    assert capsys.readouterr().err == "lsilab: error: unknown tolerance 'diaz' in 'diaz=1e-7'\n"
+    assert not (tmp_path / "eigen.json").exists()
+    # '*' and a bare value set every tolerance; a named override beats them
+    assert main(["eigen", "--N", "64", "--tolerance", "*=-1", "--output", out]) == 2
+    assert main(["eigen", "--N", "64", "--tolerance", "-1", "--output", out]) == 2
+    assert main(["eigen", "--N", "64", "--tolerance", "-1", "--tolerance", "eigenvalue=1e-7",
+                 "--output", out]) == 0

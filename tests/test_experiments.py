@@ -170,6 +170,17 @@ def test_optimizer_validation():
         minimize_deficit(Circle(2.0), 4, 0, 100)
 
 
+@pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_CIRCLE])
+def test_optimizer_rejects_more_modes_than_the_grid_resolves(domain):
+    # at 2 * n_modes = N the basis still fits; one mode more, or one node
+    # fewer, and it aliases (a proven deficit read -1.8 on [0, 1] at N = 64)
+    assert minimize_deficit(domain, 32, 0, 3, n=64).iterations >= 1
+    with pytest.raises(ParamOutOfRangeError):
+        minimize_deficit(domain, 33, 0, 3, n=64)
+    with pytest.raises(ParamOutOfRangeError):
+        minimize_deficit(domain, 32, 0, 3, n=63)
+
+
 def test_synthesize_coefficients_matches_optimizer_basis():
     f = synthesize_coefficients(UNIT_INTERVAL, [1.0, 0.5], 65)
     expected = np.abs(1.0 + 0.5 * np.cos(math.pi * f.x))

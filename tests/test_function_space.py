@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,15 @@ def test_differentiate_sharpness_family():
     d = differentiate(f)
     expected = -math.sqrt(2) * eps * math.pi * np.sin(math.pi * f.x)
     np.testing.assert_allclose(d.values, expected, atol=1e-6)
+
+
+@pytest.mark.parametrize("domain", [UNIT_INTERVAL, Circle(1.0)])
+def test_differentiate_names_overflow_of_finite_samples(domain):
+    f = from_callable(domain, 65, lambda x: 1e308 * (1.0 + 0.7 * np.cos(40.0 * x)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="overflows float64; rescale the input"):
+            differentiate(f)
 
 
 def test_differentiate_interval_fourth_order():

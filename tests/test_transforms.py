@@ -199,13 +199,13 @@ def test_sqrt_lift_requires_positivity():
 
 
 def test_certificate_serialization_shape(tmp_path):
-    from lsilab.transforms import write_certificate_json
+    from lsilab.function_space import write_json
     import json
 
     f = sample_family(Family.SHARPNESS, [0.4], UNIT_INTERVAL, 129)
     _, cert = reflect_to_circle(f)
     path = tmp_path / "cert.json"
-    write_certificate_json(cert, path)
+    write_json(cert.to_dict(), path)
     payload = json.loads(path.read_text())
     assert set(payload) == {"input_report", "output_report", "residuals"}
     assert set(payload["residuals"]) == {"mass", "entropy", "energy"}
