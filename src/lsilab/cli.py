@@ -1,10 +1,13 @@
 """Batch command-line front end.
 
 One command per process; every command reads CSV/JSON inputs, writes its
-report to ``--output`` and communicates through exit codes:
+report to ``--output`` and communicates through exit codes. Each command
+takes only the flags it reads, as declared in :data:`COMMANDS`
+(``lsilab <command> -h`` lists them):
 
   0  success
-  1  I/O or validation error (malformed files, bad parameters)
+  1  I/O, validation or usage error (malformed files, bad parameters, a flag
+     the command does not take); the message is one ``lsilab: error:`` line
   2  a *proven* inequality came out negative beyond tolerance -- this
      flags a numerical-setup bug, never a disproof
   3  the open power-mean conjecture produced a candidate counterexample
@@ -22,11 +25,12 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import experiments, functionals, transforms
 from .errors import LsiLabError, ParamOutOfRangeError
 from .function_space import (
+    MAX_SAMPLES,
     Circle,
     Interval,
     from_fourier,
@@ -36,8 +40,6 @@ from .function_space import (
     write_grid_csv,
     write_json,
 )
-
-MAX_SAMPLES = 2**24
 
 OUTPUT_DIR_ENV = "LSILAB_OUTPUT_DIR"
 
@@ -75,84 +77,42 @@ def _parse_float_list(text: str, what: str) -> tuple:
         raise ParamOutOfRangeError(f"bad {what} list {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Ends a usage error like any other error: one ``lsilab: error:`` line, exit 1."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``lsilab`` argument parser, built on first use and shared after that.
+    """The ``lsilab`` argument parser, built on first use from :data:`COMMANDS`.
 
     Parsing does not change the parser, so one instance serves every call.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lsilab",
         description="Log-Sobolev inequality laboratory: functionals, transforms and experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, **flags):
-        p = sub.add_parser(name, help=help_text)
-        if flags.get("input"):
-            p.add_argument("--input", required=True, help="input file path")
-        if flags.get("domain"):
-            p.add_argument(
-                "--domain",
-                choices=["interval", "circle"],
-                required=flags["domain"] == "required",
-                help="how to interpret the input grid",
-            )
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("--output", help="output report path")
-        p.add_argument("--N", type=int, default=flags.get("n", 4096), dest="n")
-        p.add_argument("--n-max", type=int, default=64, dest="n_max")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--tolerance",
-            action="append",
-            default=[],
-            metavar="[NAME=]VALUE",
-            help="override a check tolerance (repeatable)",
-        )
-        return p
-
-    p = add("functional", "evaluate the functional report of a grid CSV", input=True, domain="required")
-    p.add_argument("--form", choices=["auto", "density", "wirtinger"], default="auto",
-                   help="deficit form: auto = log-Sobolev by domain, density = Fisher "
-                        "information form, wirtinger = mean-deviation bound")
-    p = add("verify", "evaluate a deficit and fail (exit 2) if negative", input=True, domain="required")
-    p.add_argument("--form", choices=["auto", "density", "wirtinger"], default="auto",
-                   help="deficit form: auto = log-Sobolev by domain, density = Fisher "
-                        "information form, wirtinger = mean-deviation bound")
-    add("reflect", "reflect a [0,1] function onto the unit circle", input=True)
-    add("normalize", "affine-rescale an interval function to unit mass on [0,1]", input=True)
-    add("sqrt-lift", "pointwise square root with its certificate", input=True, domain="required")
-
-    p = add("sweep", "sharpness sweep of the extremal family", n=8193)
-    p.add_argument("--eps", required=True, help="comma-separated epsilon list")
-    p.add_argument("--extrapolate", action="store_true", help="print the extrapolated constant")
-
-    p = add("wang", "ODE residual of the exponential-cosine family", n=2049)
-    p.add_argument("--eps", type=float, default=0.2)
-
-    p = add("optimize", "minimize the deficit by projected gradient descent", n=2049)
-    p.add_argument("--domain", choices=["interval", "circle"], default="interval")
-    p.add_argument("--n-modes", type=int, default=16, dest="n_modes")
-    p.add_argument("--max-iters", type=int, default=5000, dest="max_iters")
-
-    p = add("diaz", "probe the open power-mean conjecture", n=2049)
-    p.add_argument("--q", required=True, help="comma-separated exponent list")
-    p.add_argument("--trials", type=int, default=100)
-
-    add("eigen", "first-eigenvalue sanity check on the unit circle", n=256)
-    add("weissler", "Fourier-side entropy bounds for a coefficient JSON", input=True)
+        for flag, options in command.flags:
+            p.add_argument(flag, **options)
     return parser
 
 
 def parse_config(argv: Sequence[str] | None) -> argparse.Namespace:
     """Parsed arguments, with ``tolerances`` resolved and the --eps/--q lists split."""
     args = build_parser().parse_args(argv)
-    args.tolerances = _parse_tolerances(args.tolerance)
+    if "tolerance" in args:
+        args.tolerances = _parse_tolerances(args.tolerance)
     if args.command == "sweep":
         args.eps = _parse_float_list(args.eps, "epsilon")
     if args.command == "diaz":
         args.q = _parse_float_list(args.q, "q")
-    if not (16 <= args.n <= MAX_SAMPLES):
+    if "n" in args and not (16 <= args.n <= MAX_SAMPLES):
         raise ParamOutOfRangeError(f"N must lie in [16, {MAX_SAMPLES}], got {args.n}")
     return args
 
@@ -321,19 +281,63 @@ def _weissler(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Command name -> function of the parsed arguments returning the exit code.
+class Command(NamedTuple):
+    """One subcommand: its handler, its help line and the flags the handler reads."""
+
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    flags: tuple
+
+
+_INPUT = ("--input", dict(required=True, help="input file path"))
+_DOMAIN = ("--domain", dict(choices=["interval", "circle"], required=True,
+                           help="how to interpret the input grid"))
+_FORM = ("--form", dict(choices=["auto", "density", "wirtinger"], default="auto",
+                       help="deficit form: auto = log-Sobolev by domain, density = Fisher "
+                            "information form, wirtinger = mean-deviation bound"))
+_TOLERANCE = ("--tolerance", dict(action="append", default=[], metavar="[NAME=]VALUE",
+                                 help="override a check tolerance (repeatable)"))
+_SEED = ("--seed", dict(type=int, default=0))
+_N_MAX = ("--n-max", dict(type=int, default=64))
+
+
+def _n(default: int) -> tuple:
+    return ("--N", dict(type=int, default=default, dest="n"))
+
+
+#: Command name -> Command. Every command also takes --output.
 COMMANDS = {
-    "functional": _deficit,
-    "verify": _deficit,
-    "reflect": _transform,
-    "normalize": _transform,
-    "sqrt-lift": _transform,
-    "sweep": _sweep,
-    "wang": _wang,
-    "optimize": _optimize,
-    "diaz": _diaz,
-    "eigen": _eigen,
-    "weissler": _weissler,
+    "functional": Command(_deficit, "evaluate the functional report of a grid CSV",
+                          (_INPUT, _DOMAIN, _FORM)),
+    "verify": Command(_deficit, "evaluate a deficit and fail (exit 2) if negative",
+                      (_INPUT, _DOMAIN, _FORM, _TOLERANCE)),
+    "reflect": Command(_transform, "reflect a [0,1] function onto the unit circle", (_INPUT,)),
+    "normalize": Command(_transform, "affine-rescale an interval function to unit mass on [0,1]",
+                         (_INPUT,)),
+    "sqrt-lift": Command(_transform, "pointwise square root with its certificate",
+                         (_INPUT, _DOMAIN)),
+    "sweep": Command(_sweep, "sharpness sweep of the extremal family", (
+        _n(8193),
+        ("--eps", dict(required=True, help="comma-separated epsilon list")),
+        ("--extrapolate", dict(action="store_true", help="print the extrapolated constant")),
+    )),
+    "wang": Command(_wang, "ODE residual of the exponential-cosine family",
+                    (_n(2049), _TOLERANCE, ("--eps", dict(type=float, default=0.2)))),
+    "optimize": Command(_optimize, "minimize the deficit by projected gradient descent", (
+        _n(2049), _SEED, _TOLERANCE,
+        ("--domain", dict(choices=["interval", "circle"], default="interval")),
+        ("--n-modes", dict(type=int, default=16)),
+        ("--max-iters", dict(type=int, default=5000)),
+    )),
+    "diaz": Command(_diaz, "probe the open power-mean conjecture", (
+        _n(2049), _N_MAX, _SEED,
+        ("--q", dict(required=True, help="comma-separated exponent list")),
+        ("--trials", dict(type=int, default=100)),
+    )),
+    "eigen": Command(_eigen, "first-eigenvalue sanity check on the unit circle",
+                     (_n(256), _N_MAX, _TOLERANCE)),
+    "weissler": Command(_weissler, "Fourier-side entropy bounds for a coefficient JSON",
+                        (_INPUT, _n(4096), _TOLERANCE)),
 }
 
 
@@ -341,8 +345,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; ``argv`` defaults to the process arguments. Returns the exit code."""
     try:
         args = parse_config(argv)
-        return COMMANDS[args.command](args)
-    except (LsiLabError, OSError) as exc:
+        return COMMANDS[args.command].run(args)
+    except (LsiLabError, OSError, argparse.ArgumentError) as exc:
         print(f"lsilab: error: {exc}", file=sys.stderr)
         return 1
 

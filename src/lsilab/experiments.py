@@ -35,9 +35,9 @@ from .function_space import (
     write_grid_csv,
 )
 from .functionals import (
-    DiazConfig,
     FOUR_PI_SQUARED,
     PI_SQUARED,
+    _check_q,
     _entropy_integrand,
     diaz_deficit,
     dirichlet_energy,
@@ -378,6 +378,9 @@ DIAZ_CSV_HEADER = "q,min_deficit,flag"
 #: Deficits below this are flagged as counterexample candidates.
 DIAZ_FLAG_TOL = -1e-7
 
+#: Gap between zero and the minimum of a random admissible function.
+ADMISSIBLE_SHIFT = 0.01
+
 
 def random_admissible_function(
     domain: Domain,
@@ -385,13 +388,12 @@ def random_admissible_function(
     seed: int,
     n: int,
     *,
-    shift: float = 0.01,
     normalize: bool = True,
 ) -> GridFunction:
-    """Random trigonometric polynomial made nonnegative (shift past the
-    minimum) and, optionally, normalized to unit squared mass."""
+    """Random trigonometric polynomial shifted so its minimum is
+    ADMISSIBLE_SHIFT and, optionally, normalized to unit squared mass."""
     raw = sample_family(Family.RANDOM_TRIG, [seed, modes], domain, n)
-    values = raw.values - float(np.min(raw.values)) + shift
+    values = raw.values - float(np.min(raw.values)) + ADMISSIBLE_SHIFT
     f = GridFunction(domain, values)
     if normalize:
         f = GridFunction(domain, values / math.sqrt(squared_mass(f)))
@@ -413,7 +415,8 @@ def diaz_probe(
     """
     if trials < 1:
         raise ParamOutOfRangeError(f"need trials >= 1, got {trials}")
-    configs = [DiazConfig(q, n) for q in q_list]
+    for q in q_list:  # before any trial is drawn
+        _check_q(q)
     functions = [sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, n)]
     for t in range(1, trials):
         functions.append(
@@ -423,15 +426,15 @@ def diaz_probe(
         )
     results = []
     counterexamples = []
-    for cfg in configs:
-        deficits = [diaz_deficit(f, cfg) for f in functions]
+    for q in q_list:
+        deficits = [diaz_deficit(f, q) for f in functions]
         argmin = int(np.argmin(deficits))
         min_deficit = deficits[argmin]
         flagged = min_deficit < DIAZ_FLAG_TOL
-        results.append(DiazQResult(cfg.q, min_deficit, argmin, flagged))
+        results.append(DiazQResult(q, min_deficit, argmin, flagged))
         for t, deficit in enumerate(deficits):
             if deficit < DIAZ_FLAG_TOL:
-                counterexamples.append((cfg.q, t, functions[t]))
+                counterexamples.append((q, t, functions[t]))
     return DiazProbeReport(
         seed, trials, n, modes, tuple(results), tuple(counterexamples)
     )

@@ -37,6 +37,9 @@ from .errors import (
 #: Smallest admissible sample count; keeps the five-point stencils well-defined.
 MIN_SAMPLES = 16
 
+#: Largest grid (and Fourier vector) lsilab allocates from outside input.
+MAX_SAMPLES = 2**24
+
 #: Absolute tolerance on the imaginary residue of a real-valued synthesis.
 IMAG_TOL = 1e-10
 
@@ -158,23 +161,22 @@ def quadrature_weights(domain: Domain, n: int) -> np.ndarray:
     """Weights w such that w @ f.values realizes integrate(f).
 
     Circle: the periodic trapezoid rule (spectrally accurate on smooth
-    periodic integrands). Interval: composite Simpson; when the panel
-    count is odd, Simpson covers all but the last panel, which falls
-    back to a single trapezoid.
+    periodic integrands). Interval: composite Simpson, fourth order on
+    both parities; when the panel count is odd, Simpson covers all but
+    the last three panels, which Simpson's 3/8 rule closes.
     """
     if isinstance(domain, Circle):
         return np.full(n, domain.circumference / n)
     h = (domain.b - domain.a) / (n - 1)
     w = np.zeros(n)
-    head = n if n % 2 == 1 else n - 1  # odd-point Simpson portion
+    head = n if n % 2 == 1 else n - 3  # odd-point Simpson portion
     w[0] = 1.0
     w[head - 1] += 1.0
     w[1:head - 1:2] = 4.0
     w[2:head - 1:2] = 2.0
     w *= h / 3.0
     if head != n:
-        w[-2] += h / 2.0
-        w[-1] += h / 2.0
+        w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
     return w
 
 
@@ -310,10 +312,14 @@ class FourierSeries:
 
 
 def fourier_from_dict(circumference: float, entries: dict[int, complex]) -> FourierSeries:
-    """Build a series from a sparse {n: a_n} mapping."""
+    """Build a series from a sparse {n: a_n} mapping; 2*max|n| + 1 <= MAX_SAMPLES."""
     if not entries:
         raise InvalidInputError("need at least one coefficient")
     n_max = max(abs(n) for n in entries)
+    if 2 * n_max + 1 > MAX_SAMPLES:
+        raise TruncationTooLargeError(
+            f"mode |n| = {n_max} needs {2 * n_max + 1} coefficients, more than {MAX_SAMPLES}"
+        )
     coeffs = np.zeros(2 * n_max + 1, dtype=complex)
     for n, a in entries.items():
         coeffs[n + n_max] = a

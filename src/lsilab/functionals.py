@@ -24,6 +24,10 @@ from f itself, so the square-root lift can check the chain rule.
 The entropy functional uses the convention t^2 * log t = 0 at t = 0,
 with values in [-1e-12, 0] clamped to zero to absorb synthesis
 round-off.
+
+The mass, entropy, energy and Fisher integrals, and the log-Sobolev and
+Wirtinger deficits built from them, raise :class:`InvalidInputError`
+when finite samples overflow float64, instead of returning inf or nan.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import numpy as np
 
 from .errors import (
     DomainMismatchError,
+    InvalidInputError,
     NegativeFunctionError,
     NonPositiveFunctionError,
     NotHermitianError,
@@ -128,24 +133,35 @@ def _check_nonnegative(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
+def _finite(value, name: str) -> float:
+    """``float(value)``; an overflowed (inf or nan) value raises InvalidInputError."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{name} overflows float64; rescale the input")
+    return value
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def entropy(f: GridFunction) -> float:
     """integral of f^2 log f, with 0^2 log 0 = 0."""
     values = _check_nonnegative(f.values)
     w = quadrature_weights(f.domain, f.n)
-    return float(w @ _entropy_integrand(values))
+    return _finite(w @ _entropy_integrand(values), "entropy")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def dirichlet_energy(f: GridFunction) -> float:
     """integral of (f')^2, via the module's differentiation."""
     d = differentiate(f).values
     w = quadrature_weights(f.domain, f.n)
-    return float(w @ (d * d))
+    return _finite(w @ (d * d), "Dirichlet energy")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def squared_mass(f: GridFunction) -> float:
     """integral of f^2."""
     w = quadrature_weights(f.domain, f.n)
-    return float(w @ (f.values * f.values))
+    return _finite(w @ (f.values * f.values), "integral of f^2")
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +171,7 @@ def squared_mass(f: GridFunction) -> float:
 def _report(
     mass: float, ent: float, energy: float, constant: float, correction: float
 ) -> FunctionalReport:
-    deficit = energy - constant * (ent - correction)
+    deficit = _finite(energy - constant * (ent - correction), "deficit")
     ratio = energy / ent if ent > 0.0 else None
     return FunctionalReport(mass, ent, energy, constant, deficit, ratio, correction)
 
@@ -177,7 +193,7 @@ def _log_sobolev_report(f: GridFunction, unit_mass: bool = False) -> FunctionalR
     With ``unit_mass`` the domain is a unit one, L = 1, the squared mass
     must be 1 and the correction is 0.
     """
-    energy = dirichlet_energy(f)  # first: a derivative overflow is named before the squares warn
+    energy = dirichlet_energy(f)  # first: an overflowing derivative is named as such
     mass = squared_mass(f)
     length, c = _geometry(f.domain)
     if unit_mass:
@@ -194,6 +210,7 @@ def _log_sobolev_report(f: GridFunction, unit_mass: bool = False) -> FunctionalR
     return _report(mass, entropy(f), energy, c / length**2, correction)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _fisher_report(f: GridFunction) -> FunctionalReport:
     """``fisher - (2c / L^2) * (integral f log f - L * m log m)``, m the mean."""
     values = f.values
@@ -207,8 +224,8 @@ def _fisher_report(f: GridFunction) -> FunctionalReport:
     m = mass / length
     if m <= MASS_TOL:
         raise ZeroMassError(f"mean {m:.3e} is numerically zero")
-    ent = float(w @ (values * np.log(values)))
-    fisher = float(w @ (d * d / values))
+    ent = _finite(w @ (values * np.log(values)), "integral of f log f")
+    fisher = _finite(w @ (d * d / values), "Fisher information")
     return _report(mass, ent, fisher, 2.0 * c / length**2, length * m * math.log(m))
 
 
@@ -295,6 +312,7 @@ def weissler_bound(series: FourierSeries, power: WeightPower | str) -> float:
 # Wirtinger deficit
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def wirtinger_deficit(f: GridFunction) -> float:
     """Deficit of pi^2 * integral (f - mean)^2 <= integral (f')^2 on [0, 1].
 
@@ -302,42 +320,34 @@ def wirtinger_deficit(f: GridFunction) -> float:
     """
     if not is_unit_interval(f.domain):
         raise DomainMismatchError("Wirtinger deficit requires the domain [0, 1]")
+    energy = dirichlet_energy(f)  # first, as in _log_sobolev_report
     w = quadrature_weights(f.domain, f.n)
     mean = float(w @ f.values)  # interval length is 1
     dev = f.values - mean
-    return dirichlet_energy(f) - PI_SQUARED * float(w @ (dev * dev))
+    return _finite(energy - PI_SQUARED * float(w @ (dev * dev)), "Wirtinger deficit")
 
 
 # ---------------------------------------------------------------------------
 # Power-mean conjecture probe
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiazConfig:
-    """Exponent and quadrature resolution for the power-mean deficit."""
-
-    q: float
-    n: int = 2049
-
-    def __post_init__(self):
-        if not (1.0 < self.q <= 2.0):
-            raise ParamOutOfRangeError(f"q must lie in (1, 2], got {self.q}")
-        if self.n < 16:
-            raise ParamOutOfRangeError(f"quadrature n must be >= 16, got {self.n}")
+def _check_q(q: float) -> None:
+    if not (1.0 < q <= 2.0):
+        raise ParamOutOfRangeError(f"q must lie in (1, 2], got {q}")
 
 
-def diaz_deficit(r: GridFunction, cfg: DiazConfig) -> float:
+def diaz_deficit(r: GridFunction, q: float) -> float:
     """Deficit of the conjectured bound
     ``(integral r^q)^(1/q) <= integral sqrt(r^2 + (q-1) (r')^2 / pi^2)``
-    on [0, 1].
+    on [0, 1], for 1 < q <= 2.
 
     The inequality is open: a negative return value is a candidate
     counterexample, not an error.
     """
     if not is_unit_interval(r.domain):
         raise DomainMismatchError("power-mean deficit requires the domain [0, 1]")
+    _check_q(q)
     values = _check_nonnegative(r.values)
-    q = cfg.q
     w = quadrature_weights(r.domain, r.n)
     lhs = float(w @ values**q) ** (1.0 / q)
     d = differentiate(r).values

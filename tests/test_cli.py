@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, file formats, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from lsilab import (
 )
 from lsilab.cli import DEFAULT_TOLERANCES, build_parser, main, parse_config
 from lsilab.experiments import DiazProbeReport, DiazQResult
+from lsilab.function_space import MAX_SAMPLES
 
 
 @pytest.fixture
@@ -36,7 +38,7 @@ def const_csv(tmp_path):
 def test_verify_constant_exits_zero(const_csv, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["verify", "--input", str(const_csv), "--domain", "interval",
-                 "--N", "2049", "--output", str(out)])
+                 "--output", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
     assert abs(payload["deficit"]) <= 1e-10
@@ -292,10 +294,11 @@ def test_output_dir_env_var(const_csv, tmp_path, monkeypatch):
     assert (outdir / "report.json").exists()
 
 
-def test_bad_n_range_exits_one(const_csv, tmp_path):
-    code = main(["functional", "--input", str(const_csv), "--domain", "interval",
+def test_bad_n_range_exits_one(const_csv, tmp_path, capsys):
+    code = main(["weissler", "--input", str(const_csv),
                  "--N", "8", "--output", str(tmp_path / "r.json")])
     assert code == 1
+    assert capsys.readouterr().err == "lsilab: error: N must lie in [16, 16777216], got 8\n"
 
 
 def test_console_entry_point_runs(tmp_path):
@@ -328,13 +331,16 @@ def test_non_utf8_input_exits_one_with_one_line(tmp_path, capsys):
 
 def test_cached_parser_keeps_calls_apart(tmp_path, capsys):
     assert build_parser() is build_parser()
-    first = parse_config(["verify", "--input", "a.csv", "--domain", "interval",
+    first = parse_config(["weissler", "--input", "a.csv",
                           "--tolerance", "eigenvalue=0.5", "--N", "2049"])
     assert first.tolerances["eigenvalue"] == 0.5
-    second = parse_config(["verify", "--input", "b.csv", "--domain", "circle"])
+    second = parse_config(["weissler", "--input", "b.csv"])
     assert second.tolerances == DEFAULT_TOLERANCES
     assert second.tolerances["eigenvalue"] == DEFAULT_TOLERANCES["eigenvalue"]
-    assert (second.input, second.domain, second.n) == ("b.csv", "circle", 4096)
+    assert (second.input, second.n) == ("b.csv", 4096)
+    third = parse_config(["verify", "--input", "c.csv", "--domain", "circle"])
+    assert third.tolerances == DEFAULT_TOLERANCES
+    assert (third.input, third.domain) == ("c.csv", "circle")
     # a negative tolerance fails the check; the next call must not inherit it
     out = str(tmp_path / "eigen.json")
     assert main(["eigen", "--N", "64", "--tolerance", "eigenvalue=-1", "--output", out]) == 2
@@ -384,3 +390,105 @@ def test_unknown_tolerance_name_exits_one(tmp_path, capsys):
     assert main(["eigen", "--N", "64", "--tolerance", "-1", "--output", out]) == 2
     assert main(["eigen", "--N", "64", "--tolerance", "-1", "--tolerance", "eigenvalue=1e-7",
                  "--output", out]) == 0
+
+
+@pytest.mark.parametrize("command, values, name", [
+    (["verify", "--domain", "interval"], lambda x: np.full_like(x, 1e200), "integral of f^2"),
+    (["functional", "--domain", "interval"], lambda x: np.full_like(x, 1e200), "integral of f^2"),
+    (["reflect"], lambda x: np.full_like(x, 1e200), "integral of f^2"),
+    (["normalize"], lambda x: np.full_like(x, 1e200), "integral of f^2"),
+    (["verify", "--domain", "interval", "--form", "wirtinger"],
+     lambda x: 1e200 * (1.0 + 0.1 * np.cos(math.pi * x)), "Dirichlet energy"),
+    (["verify", "--domain", "interval", "--form", "density"],
+     lambda x: 1e200 * (1.0 + 0.1 * np.cos(math.pi * x)), "Fisher information"),
+])
+def test_overflowing_integral_exits_one_with_one_line(tmp_path, capsys, command, values, name):
+    # finite samples and a finite derivative, but the squares overflow
+    path = tmp_path / "huge.csv"
+    write_grid_csv(from_callable(UNIT_INTERVAL, 65, values), path)
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(command + ["--input", str(path), "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"lsilab: error: {name} overflows float64; rescale the input\n"
+    )
+    assert not out.exists()
+
+
+def test_weissler_rejects_mode_past_the_sample_bound_in_one_line(tmp_path, capsys):
+    # 2|n| + 1 is one past the bound: a regression allocates 256 MiB, not GiBs
+    n = MAX_SAMPLES // 2
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"circumference": 1.0,
+                                "coefficients": [{"n": -n, "re": 1.0, "im": 0.0}]}))
+    out = tmp_path / "w.json"
+    assert main(["weissler", "--input", str(path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"lsilab: error: mode |n| = {n} needs {2 * n + 1} coefficients, more than {MAX_SAMPLES}\n"
+    )
+    assert not out.exists()
+
+
+#: Every flag each command takes; each is read by the command's handler.
+ACCEPTED_FLAGS = {
+    "functional": {"--output", "--input", "--domain", "--form"},
+    "verify": {"--output", "--input", "--domain", "--form", "--tolerance"},
+    "reflect": {"--output", "--input"},
+    "normalize": {"--output", "--input"},
+    "sqrt-lift": {"--output", "--input", "--domain"},
+    "sweep": {"--output", "--N", "--eps", "--extrapolate"},
+    "wang": {"--output", "--N", "--eps", "--tolerance"},
+    "optimize": {"--output", "--N", "--seed", "--tolerance", "--domain", "--n-modes",
+                 "--max-iters"},
+    "diaz": {"--output", "--N", "--n-max", "--seed", "--q", "--trials"},
+    "eigen": {"--output", "--N", "--n-max", "--tolerance"},
+    "weissler": {"--output", "--input", "--N", "--tolerance"},
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        name: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+    assert accepted == ACCEPTED_FLAGS
+    assert sum(map(len, accepted.values())) == 45
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["functional", "--input", "IN", "--domain", "interval", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    (["verify", "--input", "IN", "--domain", "interval", "--n-max", "8"],
+     "unrecognized arguments: --n-max 8"),
+    (["reflect", "--input", "IN", "--N", "4097"], "unrecognized arguments: --N 4097"),
+    (["sqrt-lift", "--input", "IN", "--domain", "interval", "--tolerance", "1e-3"],
+     "unrecognized arguments: --tolerance 1e-3"),
+    (["sweep", "--eps", "0.1", "--seed", "2"], "unrecognized arguments: --seed 2"),
+    (["eigen", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["eigen", "--n", "64"], "unrecognized arguments: --n 64"),  # no prefix of --n-max
+    (["functional", "--domain", "interval"], "the following arguments are required: --input"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+    (["eigen", "--N", "abc"], "argument --N: invalid int value: 'abc'"),
+])
+def test_usage_errors_exit_one_with_one_line(const_csv, tmp_path, monkeypatch, capsys,
+                                            argv, message):
+    monkeypatch.chdir(tmp_path)  # default output names land here
+    code = main([str(const_csv) if arg == "IN" else arg for arg in argv])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"lsilab: error: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [const_csv.name]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["functional", "-h"], ["eigen", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: lsilab" in capsys.readouterr().out

@@ -33,7 +33,7 @@ from lsilab import (
     to_fourier,
     write_grid_csv,
 )
-from lsilab.function_space import read_fourier_json, write_fourier_json
+from lsilab.function_space import MAX_SAMPLES, read_fourier_json, write_fourier_json
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +142,43 @@ def test_integrate_pure_harmonic_on_circle():
 
 
 def test_integrate_even_sample_count_falls_back_to_trapezoid_tail():
-    # N even: Simpson head plus one trapezoid panel; still fourth-order-ish
+    # N even: a Simpson head closed by Simpson's 3/8 rule on the last three
+    # panels (it was one trapezoid panel, third order, error 3.3e-12 at N=4096)
     f = from_callable(UNIT_INTERVAL, 2048, lambda x: np.exp(x))
-    assert integrate(f) == pytest.approx(math.e - 1.0, abs=1e-9)
+    assert integrate(f) == pytest.approx(math.e - 1.0, abs=1e-13)
+
+
+def _observed_orders(ns, error):
+    """log(e1 / e2) / log(h1 / h2) between successive interval grids."""
+    errors = [error(n) for n in ns]
+    return [
+        math.log(errors[i] / errors[i + 1]) / math.log((ns[i + 1] - 1) / (ns[i] - 1))
+        for i in range(len(ns) - 1)
+    ]
+
+
+@pytest.mark.parametrize("ns", [(64, 128, 256), (65, 129, 257)])
+def test_interval_integrate_and_differentiate_are_fourth_order_on_both_parities(ns):
+    def integral_error(n):
+        return abs(integrate(from_callable(UNIT_INTERVAL, n, np.exp)) - (math.e - 1.0))
+
+    def derivative_error(n):
+        f = from_callable(UNIT_INTERVAL, n, lambda x: np.exp(np.sin(2 * x)))
+        true = 2 * np.cos(2 * f.x) * np.exp(np.sin(2 * f.x))
+        return float(np.max(np.abs(differentiate(f).values - true)))
+
+    assert min(_observed_orders(ns, integral_error)) >= 3.8
+    assert min(_observed_orders(ns, derivative_error)) >= 3.8
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_circle_integrate_and_differentiate_reach_round_off_by_n_64(n):
+    # band-limited: modes up to 8, well inside the Nyquist limit of either grid
+    f = from_callable(Circle(1.0), n, lambda x: 2.0 + sum(
+        np.cos(2 * math.pi * k * x + k) / k for k in range(1, 9)))
+    true = -sum(2 * math.pi * np.sin(2 * math.pi * k * f.x + k) for k in range(1, 9))
+    assert integrate(f) == pytest.approx(2.0, abs=1e-14)
+    np.testing.assert_allclose(differentiate(f).values, true, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -225,6 +259,13 @@ def test_to_fourier_cosine():
     assert s.coefficient(1) == pytest.approx(0.5, abs=1e-14)
     assert s.coefficient(-1) == pytest.approx(0.5, abs=1e-14)
     assert abs(s.coefficient(2)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [MAX_SAMPLES // 2, -(MAX_SAMPLES // 2)])
+def test_fourier_from_dict_bounds_the_mode_before_allocating(n):
+    # the smallest |n| is one past the bound: a regression allocates 256 MiB
+    with pytest.raises(TruncationTooLargeError, match=f"needs {2 * abs(n) + 1} coefficients"):
+        fourier_from_dict(1.0, {0: 1.0, n: 0.5})
 
 
 def test_to_fourier_requires_circle_and_enough_samples():

@@ -6,23 +6,26 @@ re-derives them.
 """
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from lsilab import (
     Circle,
-    DiazConfig,
     DomainMismatchError,
     Family,
     FOUR_PI_SQUARED,
     GridFunction,
     Interval,
+    InvalidInputError,
     NegativeFunctionError,
     NonPositiveFunctionError,
     NotHermitianError,
     NotNormalizedError,
     PI_SQUARED,
+    ParamOutOfRangeError,
     UNIT_INTERVAL,
     WeightPower,
     ZeroMassError,
@@ -37,6 +40,7 @@ from lsilab import (
     lsi_deficit_general,
     lsi_deficit_interval,
     sample_family,
+    squared_mass,
     to_fourier,
     weissler_bound,
     wirtinger_deficit,
@@ -273,6 +277,26 @@ def test_density_form_requires_strict_positivity():
         lsi_deficit_density_form(f)
 
 
+HUGE = from_callable(UNIT_INTERVAL, 65, lambda x: np.full_like(x, 1e200))
+HUGE_COSINE = from_callable(UNIT_INTERVAL, 65, lambda x: 1e200 * (1.0 + 0.1 * np.cos(math.pi * x)))
+
+
+@pytest.mark.parametrize("evaluate, f, name", [
+    (squared_mass, HUGE, "integral of f^2"),
+    (entropy, HUGE, "entropy"),
+    (lsi_deficit_general, HUGE, "integral of f^2"),
+    (dirichlet_energy, HUGE_COSINE, "Dirichlet energy"),
+    (wirtinger_deficit, HUGE_COSINE, "Dirichlet energy"),
+    (lsi_deficit_density_form, HUGE_COSINE, "Fisher information"),
+])
+def test_overflowing_integrals_raise_instead_of_returning_nan(evaluate, f, name):
+    # the samples and (for HUGE_COSINE) the derivative are finite; their squares are not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=rf"^{re.escape(name)} overflows float64"):
+            evaluate(f)
+
+
 # ---------------------------------------------------------------------------
 # Fourier-side bound
 # ---------------------------------------------------------------------------
@@ -345,28 +369,29 @@ def test_wirtinger_argmin_is_first_mode(k):
 
 def test_diaz_constant_is_zero():
     f = sample_family(Family.CONSTANT, [2.0], UNIT_INTERVAL, 2049)
-    assert diaz_deficit(f, DiazConfig(1.5, 2049)) == pytest.approx(0.0, abs=1e-12)
+    assert diaz_deficit(f, 1.5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_diaz_sharpness_against_oracle():
     r = sample_family(Family.SHARPNESS, [0.3], UNIT_INTERVAL, 2049)
-    d = diaz_deficit(r, DiazConfig(2.0, 2049))
+    d = diaz_deficit(r, 2.0)
     assert d >= 0.0
     assert d == pytest.approx(DIAZ_Q2_E03_DEFICIT, abs=1e-8)
 
 
 def test_diaz_q_near_one_degenerates():
     r = sample_family(Family.SHARPNESS, [0.3], UNIT_INTERVAL, 2049)
-    d = diaz_deficit(r, DiazConfig(1.0001, 2049))
+    d = diaz_deficit(r, 1.0001)
     sup_slope = math.sqrt(2) * 0.3 * math.pi
     assert abs(d) <= 1e-3 * sup_slope**2
 
 
-def test_diaz_config_validates_q():
-    with pytest.raises(Exception):
-        DiazConfig(1.0, 2049)
-    with pytest.raises(Exception):
-        DiazConfig(2.5, 2049)
+def test_diaz_deficit_validates_q():
+    r = sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, 65)
+    with pytest.raises(ParamOutOfRangeError, match=r"q must lie in \(1, 2\], got 1.0"):
+        diaz_deficit(r, 1.0)
+    with pytest.raises(ParamOutOfRangeError, match=r"q must lie in \(1, 2\], got 2.5"):
+        diaz_deficit(r, 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +407,7 @@ def test_every_deficit_vanishes_on_admissible_constants():
     assert abs(lsi_deficit_general(general_c).deficit) <= 1e-9
     assert abs(lsi_deficit_density_form(interval_one).deficit) <= 1e-9
     assert abs(wirtinger_deficit(interval_one)) <= 1e-9
-    assert abs(diaz_deficit(interval_one, DiazConfig(2.0, 1025))) <= 1e-9
+    assert abs(diaz_deficit(interval_one, 2.0)) <= 1e-9
     # off unit length the Fisher form must correct by L * m log m
     for b in (0.5, 2.0, 3.0):
         constant = sample_family(Family.CONSTANT, [2.0], Interval(0.0, b), 1025)
