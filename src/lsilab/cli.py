@@ -37,6 +37,7 @@ from .function_space import (
     is_unit_circle,
     read_fourier_json,
     read_grid_csv,
+    write_csv,
     write_grid_csv,
     write_json,
 )
@@ -72,9 +73,12 @@ def _parse_tolerances(items: Sequence[str]) -> dict:
 
 def _parse_float_list(text: str, what: str) -> tuple:
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
+        values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ParamOutOfRangeError(f"bad {what} list {text!r}") from None
+    if not values:
+        raise ParamOutOfRangeError(f"empty {what} list {text!r}")
+    return values
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,7 +152,7 @@ def _deficit(args: argparse.Namespace) -> int:
             )
         deficit = report.deficit
         if out.suffix == ".csv":
-            functionals.write_report_csv(report, out)
+            write_csv(functionals.REPORT_CSV_HEADER, [report.csv_row()], out)
         else:
             write_json(report.to_dict(), out)
     print(f"deficit={deficit!r}")
@@ -184,7 +188,7 @@ def _transform(args: argparse.Namespace) -> int:
 def _sweep(args: argparse.Namespace) -> int:
     records = experiments.sharpness_sweep(args.eps, args.n)
     out = _resolve_output(args, "sweep.csv")
-    experiments.write_sweep_csv(records, out)
+    write_csv(experiments.SWEEP_CSV_HEADER, [r.csv_row() for r in records], out)
     if args.extrapolate:
         constant = experiments.extrapolate_constant(records)
         print(f"extrapolated_constant={constant!r}")
@@ -232,7 +236,7 @@ def _diaz(args: argparse.Namespace) -> int:
     if out.suffix == ".json":
         write_json(report.to_dict(), out)
     else:
-        experiments.write_probe_csv(report, out)
+        write_csv(experiments.DIAZ_CSV_HEADER, [r.csv_row() for r in report.results], out)
     for r in report.results:
         print(f"q={r.q!r} min_deficit={r.min_deficit!r}")
     if report.counterexamples:
@@ -297,12 +301,16 @@ _FORM = ("--form", dict(choices=["auto", "density", "wirtinger"], default="auto"
                             "information form, wirtinger = mean-deviation bound"))
 _TOLERANCE = ("--tolerance", dict(action="append", default=[], metavar="[NAME=]VALUE",
                                  help="override a check tolerance (repeatable)"))
-_SEED = ("--seed", dict(type=int, default=0))
-_N_MAX = ("--n-max", dict(type=int, default=64))
+_SEED = ("--seed", dict(type=int, default=0, help="random seed (default 0)"))
 
 
 def _n(default: int) -> tuple:
-    return ("--N", dict(type=int, default=default, dest="n"))
+    return ("--N", dict(type=int, default=default, dest="n",
+                        help=f"grid sample count (default {default})"))
+
+
+def _n_max(meaning: str) -> tuple:
+    return ("--n-max", dict(type=int, default=64, help=f"{meaning} (default 64)"))
 
 
 #: Command name -> Command. Every command also takes --output.
@@ -330,12 +338,12 @@ COMMANDS = {
         ("--max-iters", dict(type=int, default=5000)),
     )),
     "diaz": Command(_diaz, "probe the open power-mean conjecture", (
-        _n(2049), _N_MAX, _SEED,
+        _n(2049), _n_max("random modes per trial, at most 64"), _SEED,
         ("--q", dict(required=True, help="comma-separated exponent list")),
         ("--trials", dict(type=int, default=100)),
     )),
     "eigen": Command(_eigen, "first-eigenvalue sanity check on the unit circle",
-                     (_n(256), _N_MAX, _TOLERANCE)),
+                     (_n(256), _n_max("highest harmonic scanned, at most N/4"), _TOLERANCE)),
     "weissler": Command(_weissler, "Fourier-side entropy bounds for a coefficient JSON",
                         (_INPUT, _n(4096), _TOLERANCE)),
 }

@@ -64,6 +64,10 @@ class SweepRecord:
         if not (0.0 < self.epsilon < 1.0):
             raise ParamOutOfRangeError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
+    def csv_row(self) -> tuple:
+        """The cells under :data:`SWEEP_CSV_HEADER`."""
+        return (self.epsilon, self.energy, self.entropy, self.ratio, self.deficit)
+
 
 SWEEP_CSV_HEADER = "epsilon,energy,entropy,ratio,deficit"
 
@@ -333,6 +337,10 @@ class DiazQResult:
     argmin_trial: int
     flagged: bool
 
+    def csv_row(self) -> tuple:
+        """The cells under :data:`DIAZ_CSV_HEADER`."""
+        return (self.q, self.min_deficit, "true" if self.flagged else "false")
+
 
 @dataclass(frozen=True)
 class DiazProbeReport:
@@ -438,24 +446,6 @@ def diaz_probe(
     return DiazProbeReport(
         seed, trials, n, modes, tuple(results), tuple(counterexamples)
     )
-
-
-def write_sweep_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
-    with open(path, "w") as handle:
-        handle.write(SWEEP_CSV_HEADER + "\n")
-        for r in records:
-            handle.write(
-                f"{float(r.epsilon)!r},{float(r.energy)!r},{float(r.entropy)!r},"
-                f"{float(r.ratio)!r},{float(r.deficit)!r}\n"
-            )
-
-
-def write_probe_csv(report: DiazProbeReport, path: str | Path) -> None:
-    with open(path, "w") as handle:
-        handle.write(DIAZ_CSV_HEADER + "\n")
-        for r in report.results:
-            flag = "true" if r.flagged else "false"
-            handle.write(f"{float(r.q)!r},{float(r.min_deficit)!r},{flag}\n")
 
 
 def write_counterexamples(report: DiazProbeReport, stem: str | Path) -> list[Path]:

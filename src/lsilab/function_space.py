@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -193,7 +193,8 @@ def integrate(f: GridFunction) -> float:
 def differentiate(f: GridFunction) -> GridFunction:
     """First derivative on the same grid.
 
-    Circles use spectral differentiation (exact for band-limited data,
+    Circles use spectral differentiation: one ``irfft`` of the derivative
+    spectrum ``rfft(v) * 2*pi*i*k/L`` (exact for band-limited data,
     Nyquist mode zeroed on even grids). Intervals use fourth-order
     finite differences: central stencils inside, and least-l1-norm
     closures at the two nodes nearest each end.
@@ -209,13 +210,8 @@ def differentiate(f: GridFunction) -> GridFunction:
     """
     v = f.values
     if isinstance(f.domain, Circle):
-        n = f.n
-        spectrum = np.fft.rfft(v)
-        freqs = np.fft.rfftfreq(n, d=f.domain.circumference / n)
-        spectrum *= 2j * np.pi * freqs
-        if n % 2 == 0:
-            spectrum[-1] = 0.0  # derivative of the Nyquist mode is unrepresentable
-        return _derivative(f, np.fft.irfft(spectrum, n=n))
+        d = np.fft.irfft(_derivative_spectrum(f), n=f.n)
+        return GridFunction(f.domain, _finite_derivative(d))
 
     h = (f.domain.b - f.domain.a) / (f.n - 1)
     d = np.empty_like(v)
@@ -255,13 +251,25 @@ def differentiate(f: GridFunction) -> GridFunction:
         + 16.0 / 63.0 * (v[-8] - v[-1])
         - 0.125 * (v[-9] - v[-1])
     ) / h
-    return _derivative(f, d)
+    return GridFunction(f.domain, _finite_derivative(d))
 
 
-def _derivative(f: GridFunction, d: np.ndarray) -> GridFunction:
+def _finite_derivative(d: np.ndarray) -> np.ndarray:
+    """``d``, unless an entry is not finite: then the derivative overflowed."""
     if not np.all(np.isfinite(d)):
         raise InvalidInputError("derivative overflows float64; rescale the input")
-    return GridFunction(f.domain, d)
+    return d
+
+
+def _derivative_spectrum(f: GridFunction) -> np.ndarray:
+    """``rfft(v) * 2*pi*i*k/L`` for circle samples v, with the Nyquist bin of an
+    even grid zeroed (its derivative is unrepresentable); overflow raises."""
+    n = f.n
+    spectrum = np.fft.rfft(f.values)
+    spectrum *= 2j * np.pi * np.fft.rfftfreq(n, d=f.domain.circumference / n)
+    if n % 2 == 0:
+        spectrum[-1] = 0.0
+    return _finite_derivative(spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +337,9 @@ def fourier_from_dict(circumference: float, entries: dict[int, complex]) -> Four
 def to_fourier(f: GridFunction, n_max: int) -> FourierSeries:
     """Coefficients a_n = (1/L) * integral f(x) exp(-2*pi*i*n*x/L) dx.
 
-    Computed with the periodic trapezoid rule (one FFT); conjugate
-    symmetry is enforced exactly by averaging a_n with conj(a_{-n}).
+    Computed with the periodic trapezoid rule as one real FFT: a_n for
+    n >= 0 is ``rfft(v)[n] / N`` and a_{-n} = conj(a_n), so the series
+    is exactly conjugate-symmetric by construction.
     """
     if not isinstance(f.domain, Circle):
         raise DomainMismatchError("Fourier analysis needs a circle domain")
@@ -340,34 +349,31 @@ def to_fourier(f: GridFunction, n_max: int) -> FourierSeries:
         raise TruncationTooLargeError(
             f"2*n_max + 1 = {2 * n_max + 1} exceeds the {f.n} grid samples"
         )
-    dft = np.fft.fft(f.values) / f.n
-    idx = np.arange(-n_max, n_max + 1) % f.n
-    coeffs = dft[idx]
-    coeffs = 0.5 * (coeffs + np.conj(coeffs[::-1]))
-    return FourierSeries(f.domain.circumference, coeffs)
+    half = np.fft.rfft(f.values)[: n_max + 1] / f.n
+    return FourierSeries(f.domain.circumference, np.concatenate([np.conj(half[:0:-1]), half]))
 
 
 def from_fourier(series: FourierSeries, n: int) -> GridFunction:
-    """Pointwise synthesis on the n-point periodic grid.
+    """Pointwise synthesis on the n-point periodic grid with real FFTs.
 
-    The imaginary residue of the synthesis must stay below 1e-10; larger
-    residues mean the coefficients do not describe a real function.
+    The conjugate-symmetric part h of the coefficients gives the values
+    ``n * irfft(h)``; the rest gives exactly the imaginary residue, which
+    must stay below 1e-10, or the series is not real-valued.
     """
     n_max = series.n_max
     if n < 2 * n_max + 1:
         raise TruncationTooLargeError(
             f"need n >= {2 * n_max + 1} samples to hold modes up to {n_max}"
         )
-    spectrum = np.zeros(n, dtype=complex)
-    idx = np.arange(-n_max, n_max + 1) % n
-    np.add.at(spectrum, idx, series.coefficients)
-    values = np.fft.ifft(spectrum) * n
-    residue = float(np.max(np.abs(values.imag)))
-    if residue > IMAG_TOL:
-        raise NotRealValuedError(
-            f"imaginary residue {residue:.3e} exceeds {IMAG_TOL:.0e}"
-        )
-    return GridFunction(Circle(series.circumference), values.real)
+    c = series.coefficients
+    anti = 0.5 * c - 0.5 * np.conj(c[::-1])
+    if np.any(anti):
+        residue = float(np.max(np.abs(n * np.fft.irfft(-1j * anti[n_max:], n))))
+        if residue > IMAG_TOL:
+            raise NotRealValuedError(
+                f"imaginary residue {residue:.3e} exceeds {IMAG_TOL:.0e}"
+            )
+    return GridFunction(Circle(series.circumference), n * np.fft.irfft((c - anti)[n_max:], n))
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +554,16 @@ def write_json(payload: dict, path: str | Path) -> None:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def write_csv(header: str, rows: Iterable[Sequence], path: str | Path) -> None:
+    """Every tabular CSV report of lsilab: a header line, then one line per row
+    whose numbers are written as ``repr(float(x))`` and strings as they are."""
+    with open(path, "w") as handle:
+        handle.write(header + "\n")
+        handle.writelines(
+            ",".join(x if isinstance(x, str) else repr(float(x)) for x in row) + "\n" for row in rows
+        )
 
 
 def write_fourier_json(series: FourierSeries, path: str | Path) -> None:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -51,9 +50,11 @@ from .errors import (
     ZeroMassError,
 )
 from .function_space import (
+    Circle,
     FourierSeries,
     GridFunction,
     Interval,
+    _derivative_spectrum,
     differentiate,
     is_unit_circle,
     is_unit_interval,
@@ -94,21 +95,13 @@ class FunctionalReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def csv_row(self) -> str:
-        ratio = "" if self.ratio is None else repr(float(self.ratio))
-        return (
-            f"{float(self.mass)!r},{float(self.entropy)!r},{float(self.energy)!r},"
-            f"{float(self.constant)!r},{float(self.deficit)!r},{ratio}"
-        )
+    def csv_row(self) -> tuple:
+        """The cells under :data:`REPORT_CSV_HEADER`."""
+        ratio = "" if self.ratio is None else self.ratio
+        return (self.mass, self.entropy, self.energy, self.constant, self.deficit, ratio)
 
 
 REPORT_CSV_HEADER = "mass,entropy,energy,constant,deficit,ratio"
-
-
-def write_report_csv(report: FunctionalReport, path: str | Path) -> None:
-    with open(path, "w") as handle:
-        handle.write(REPORT_CSV_HEADER + "\n")
-        handle.write(report.csv_row() + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +144,13 @@ def entropy(f: GridFunction) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def dirichlet_energy(f: GridFunction) -> float:
-    """integral of (f')^2, via the module's differentiation."""
+    """integral of (f')^2; on circles the discrete Parseval sum
+    ``(2L/N^2) * sum_{k>=1} |D_k|^2`` over the derivative spectrum D of one
+    real FFT, equal to the trapezoid rule on the spectral derivative."""
+    if isinstance(f.domain, Circle):
+        d = _derivative_spectrum(f)[1:]
+        d /= f.n  # before squaring: |D_k|^2 alone may overflow
+        return _finite(2.0 * f.domain.circumference * np.vdot(d, d).real, "Dirichlet energy")
     d = differentiate(f).values
     w = quadrature_weights(f.domain, f.n)
     return _finite(w @ (d * d), "Dirichlet energy")

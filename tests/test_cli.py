@@ -22,9 +22,10 @@ from lsilab import (
     write_fourier_json,
     write_grid_csv,
 )
+from lsilab import experiments, functionals
 from lsilab.cli import DEFAULT_TOLERANCES, build_parser, main, parse_config
 from lsilab.experiments import DiazProbeReport, DiazQResult
-from lsilab.function_space import MAX_SAMPLES
+from lsilab.function_space import MAX_SAMPLES, write_csv
 
 
 @pytest.fixture
@@ -380,6 +381,24 @@ def test_overflowing_derivative_exits_one_with_one_line(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values", [
+    lambda x: 1e308 * (1.0 + 0.7 * np.cos(6.0 * math.pi * x)),  # the FFT sum overflows
+    lambda x: 1e305 * np.cos(40.0 * math.pi * x),  # the factor 2 pi i k overflows
+])
+def test_overflowing_circle_derivative_exits_one_with_one_line(tmp_path, capsys, values):
+    path = tmp_path / "huge.csv"
+    write_grid_csv(from_callable(Circle(1.0), 64, values), path)
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--domain", "circle", "--input", str(path), "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "lsilab: error: derivative overflows float64; rescale the input\n"
+    )
+    assert not out.exists()
+
+
 def test_unknown_tolerance_name_exits_one(tmp_path, capsys):
     out = str(tmp_path / "eigen.json")
     assert main(["eigen", "--N", "64", "--tolerance", "diaz=1e-7", "--output", out]) == 1
@@ -473,6 +492,8 @@ def test_each_command_takes_only_the_flags_it_reads():
     (["bogus"], "argument command: invalid choice: 'bogus'"),
     ([], "the following arguments are required: command"),
     (["eigen", "--N", "abc"], "argument --N: invalid int value: 'abc'"),
+    (["diaz", "--q", ",", "--trials", "2"], "empty q list ','"),
+    (["sweep", "--eps", ","], "empty epsilon list ','"),
 ])
 def test_usage_errors_exit_one_with_one_line(const_csv, tmp_path, monkeypatch, capsys,
                                             argv, message):
@@ -486,9 +507,76 @@ def test_usage_errors_exit_one_with_one_line(const_csv, tmp_path, monkeypatch, c
     assert sorted(p.name for p in tmp_path.iterdir()) == [const_csv.name]
 
 
+def test_sample_count_seed_and_mode_cap_flags_have_help():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {
+        (name, flag): action.help
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag in ("--N", "--seed", "--n-max")
+    }
+    assert all(helps.values()) and len(helps) == 10
+    assert helps[("diaz", "--n-max")].startswith("random modes per trial, at most 64")
+    assert helps[("eigen", "--n-max")].startswith("highest harmonic scanned, at most N/4")
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["functional", "-h"], ["eigen", "--help"]])
 def test_help_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0
     assert "usage: lsilab" in capsys.readouterr().out
+
+
+# The three report writers that write_csv replaced, kept as the byte reference.
+def _reference_report_csv(report, path):
+    with open(path, "w") as handle:
+        ratio = "" if report.ratio is None else repr(float(report.ratio))
+        handle.write("mass,entropy,energy,constant,deficit,ratio\n")
+        handle.write(
+            f"{float(report.mass)!r},{float(report.entropy)!r},{float(report.energy)!r},"
+            f"{float(report.constant)!r},{float(report.deficit)!r},{ratio}\n"
+        )
+
+
+def _reference_sweep_csv(records, path):
+    with open(path, "w") as handle:
+        handle.write("epsilon,energy,entropy,ratio,deficit\n")
+        for r in records:
+            handle.write(
+                f"{float(r.epsilon)!r},{float(r.energy)!r},{float(r.entropy)!r},"
+                f"{float(r.ratio)!r},{float(r.deficit)!r}\n"
+            )
+
+
+def _reference_probe_csv(results, path):
+    with open(path, "w") as handle:
+        handle.write("q,min_deficit,flag\n")
+        for r in results:
+            flag = "true" if r.flagged else "false"
+            handle.write(f"{float(r.q)!r},{float(r.min_deficit)!r},{flag}\n")
+
+
+def test_write_csv_matches_the_replaced_report_writers(tmp_path):
+    reports = [
+        lsilab.lsi_deficit_general(
+            from_callable(UNIT_INTERVAL, 65, lambda x: 1.0 + 0.3 * np.cos(np.pi * x))),
+        lsilab.lsi_deficit_general(sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, 65)),  # ratio None
+    ]
+    assert reports[1].ratio is None
+    records = lsilab.sharpness_sweep([0.3, 0.1], 2049)
+    results = [DiazQResult(1.5, -1e-3, 4, True), DiazQResult(np.float64(2.0), 1e-17, 0, False)]
+    cases = [
+        (_reference_report_csv, r, functionals.REPORT_CSV_HEADER, [r.csv_row()]) for r in reports
+    ] + [
+        (_reference_sweep_csv, records, experiments.SWEEP_CSV_HEADER,
+         [r.csv_row() for r in records]),
+        (_reference_probe_csv, results, experiments.DIAZ_CSV_HEADER,
+         [r.csv_row() for r in results]),
+    ]
+    for i, (reference, data, header, rows) in enumerate(cases):
+        want, got = tmp_path / f"want{i}.csv", tmp_path / f"got{i}.csv"
+        reference(data, want)
+        write_csv(header, rows, got)
+        assert got.read_bytes() == want.read_bytes()

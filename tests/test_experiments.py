@@ -22,11 +22,12 @@ from lsilab import (
     wang_ode_residual,
 )
 from lsilab.experiments import (
+    DIAZ_CSV_HEADER,
+    SWEEP_CSV_HEADER,
     mode_quotient,
     synthesize_coefficients,
-    write_probe_csv,
-    write_sweep_csv,
 )
+from lsilab.function_space import write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +209,9 @@ def test_probe_finds_no_counterexample_at_desk_scale():
 
 def test_probe_is_bit_reproducible(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_probe_csv(diaz_probe([1.5, 2.0], 10, 5), a)
-    write_probe_csv(diaz_probe([1.5, 2.0], 10, 5), b)
+    for path in (a, b):
+        report = diaz_probe([1.5, 2.0], 10, 5)
+        write_csv(DIAZ_CSV_HEADER, [r.csv_row() for r in report.results], path)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -250,7 +252,7 @@ def test_eigenvalue_check_validation():
 def test_sweep_csv_shape(tmp_path):
     records = sharpness_sweep([0.2, 0.1], 2049)
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(records, path)
+    write_csv(SWEEP_CSV_HEADER, [r.csv_row() for r in records], path)
     lines = path.read_text().splitlines()
     assert lines[0] == "epsilon,energy,entropy,ratio,deficit"
     assert len(lines) == 3

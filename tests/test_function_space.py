@@ -268,6 +268,16 @@ def test_fourier_from_dict_bounds_the_mode_before_allocating(n):
         fourier_from_dict(1.0, {0: 1.0, n: 0.5})
 
 
+@pytest.mark.parametrize("n, n_max", [(64, 20), (65, 32), (4096, 100)])
+def test_to_fourier_matches_complex_fft_and_is_exactly_hermitian(n, n_max):
+    f = from_callable(Circle(2.0), n,
+                      lambda x: np.exp(np.cos(math.pi * x) + 0.3 * np.sin(2 * math.pi * x)))
+    s = to_fourier(f, n_max)
+    reference = np.fft.fft(f.values)[np.arange(-n_max, n_max + 1) % n] / n
+    np.testing.assert_allclose(s.coefficients, reference, rtol=0.0, atol=1e-15)
+    assert s.hermitian_defect() == 0.0
+
+
 def test_to_fourier_requires_circle_and_enough_samples():
     f = from_callable(UNIT_INTERVAL, 64, lambda x: x)
     with pytest.raises(DomainMismatchError):
@@ -290,6 +300,18 @@ def test_from_fourier_rejects_non_real_series():
     s = fourier_from_dict(1.0, {1: 1.0j, -1: 1.0j})
     with pytest.raises(NotRealValuedError):
         from_fourier(s, 32)
+
+
+@pytest.mark.parametrize("n", [4096, 65536])
+def test_from_fourier_accepts_a_large_hermitian_series(n):
+    # an absolute IMAG_TOL once rejected this exactly real series on the
+    # rounding noise of a complex synthesis (residue 2.6e-10 and 4.1e-10)
+    entries = {0: 1e8, 1: 3e5 + 2e5j, -1: 3e5 - 2e5j, 7: 4e4 - 1.5e4j, -7: 4e4 + 1.5e4j}
+    f = from_fourier(fourier_from_dict(1.0, entries), n)
+    x = f.x
+    expected = (1e8 + 2 * (3e5 * np.cos(2 * math.pi * x) - 2e5 * np.sin(2 * math.pi * x))
+                + 2 * (4e4 * np.cos(14 * math.pi * x) + 1.5e4 * np.sin(14 * math.pi * x)))
+    np.testing.assert_allclose(f.values, expected, rtol=1e-14)
 
 
 def test_from_fourier_needs_enough_samples():

@@ -30,6 +30,7 @@ from lsilab import (
     WeightPower,
     ZeroMassError,
     diaz_deficit,
+    differentiate,
     dirichlet_energy,
     entropy,
     fourier_from_dict,
@@ -151,6 +152,17 @@ def test_energy_of_sharpness_family():
 def test_energy_of_sine():
     f = from_callable(UNIT_INTERVAL, 2049, lambda x: math.sqrt(2) * np.sin(math.pi * x))
     assert dirichlet_energy(f) == pytest.approx(PI_SQUARED, abs=1e-6)
+
+
+@pytest.mark.parametrize("circumference", [1.0, 2.0])
+@pytest.mark.parametrize("n", [16, 17, 64, 65, 4096, 131072])
+def test_circle_energy_parseval_matches_pointwise_derivative(n, circumference):
+    # every bin populated, the Nyquist bin of even n included
+    rng = np.random.default_rng(n)
+    f = GridFunction(Circle(circumference), 2.0 + rng.standard_normal(n))
+    d = differentiate(f).values  # one irfft of the derivative spectrum
+    pointwise = circumference / n * float(d @ d)
+    assert dirichlet_energy(f) == pytest.approx(pointwise, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
