@@ -8,8 +8,8 @@ takes only the flags it reads, as declared in :data:`COMMANDS`
   0  success
   1  I/O, validation or usage error (malformed files, bad parameters, a flag
      the command does not take); the message is one ``lsilab: error:`` line
-  2  a *proven* inequality came out negative beyond tolerance -- this
-     flags a numerical-setup bug, never a disproof
+  2  a *proven* inequality came out negative beyond the command's
+     --tolerance -- this flags a numerical-setup bug, never a disproof
   3  the open power-mean conjecture produced a candidate counterexample
      (a finding: the witness function is serialized next to the report)
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from pathlib import Path
@@ -34,7 +33,6 @@ from .function_space import (
     Circle,
     Interval,
     from_fourier,
-    is_unit_circle,
     read_fourier_json,
     read_grid_csv,
     write_csv,
@@ -43,32 +41,6 @@ from .function_space import (
 )
 
 OUTPUT_DIR_ENV = "LSILAB_OUTPUT_DIR"
-
-#: Default check tolerances; override with --tolerance [name=]value.
-DEFAULT_TOLERANCES = {
-    "deficit": 1e-7,
-    "residual": 1e-6,
-    "entropy": 1e-7,
-    "eigenvalue": 1e-7,
-    "optimizer": 1e-6,
-}
-
-
-def _parse_tolerances(items: Sequence[str]) -> dict:
-    """Every tolerance in DEFAULT_TOLERANCES after the overrides; ``*`` sets all unnamed."""
-    out = {}
-    for item in items:
-        name, sep, value = item.partition("=")
-        name = name.strip() if sep else "*"
-        if name != "*" and name not in DEFAULT_TOLERANCES:
-            raise ParamOutOfRangeError(f"unknown tolerance {name!r} in {item!r}")
-        try:
-            out[name] = float(value if sep else item)
-        except ValueError:
-            raise ParamOutOfRangeError(f"bad tolerance override {item!r}") from None
-    return {
-        name: out.get(name, out.get("*", default)) for name, default in DEFAULT_TOLERANCES.items()
-    }
 
 
 def _parse_float_list(text: str, what: str) -> tuple:
@@ -108,14 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv: Sequence[str] | None) -> argparse.Namespace:
-    """Parsed arguments, with ``tolerances`` resolved and the --eps/--q lists split."""
+    """Parsed arguments, with --N checked against [16, MAX_SAMPLES]."""
     args = build_parser().parse_args(argv)
-    if "tolerance" in args:
-        args.tolerances = _parse_tolerances(args.tolerance)
-    if args.command == "sweep":
-        args.eps = _parse_float_list(args.eps, "epsilon")
-    if args.command == "diaz":
-        args.q = _parse_float_list(args.q, "q")
     if "n" in args and not (16 <= args.n <= MAX_SAMPLES):
         raise ParamOutOfRangeError(f"N must lie in [16, {MAX_SAMPLES}], got {args.n}")
     return args
@@ -144,19 +110,15 @@ def _deficit(args: argparse.Namespace) -> int:
             report = functionals.lsi_deficit_density_form(f)
         elif isinstance(f.domain, Interval):
             report = functionals.lsi_deficit_general(f)
-        elif is_unit_circle(f.domain):
-            report = functionals.lsi_deficit_circle(f)
         else:
-            raise ParamOutOfRangeError(
-                "circle deficits are defined for circumference 1; rescale the input"
-            )
+            report = functionals.lsi_deficit_circle(f)
         deficit = report.deficit
         if out.suffix == ".csv":
             write_csv(functionals.REPORT_CSV_HEADER, [report.csv_row()], out)
         else:
             write_json(report.to_dict(), out)
     print(f"deficit={deficit!r}")
-    if args.command == "verify" and deficit < -args.tolerances["deficit"]:
+    if args.command == "verify" and deficit < -args.tolerance:
         print(
             "lsilab: proven inequality violated numerically "
             f"(deficit {deficit!r}); check the discretization",
@@ -200,7 +162,7 @@ def _wang(args: argparse.Namespace) -> int:
     out = _resolve_output(args, "wang.json")
     write_json({"eps": args.eps, "n": args.n, "residual": residual}, out)
     print(f"residual={residual!r}")
-    if residual > args.tolerances["residual"]:
+    if residual > args.tolerance:
         print(
             f"lsilab: ODE residual {residual!r} above tolerance; "
             "the identity is exact, so the discretization is off",
@@ -218,7 +180,7 @@ def _optimize(args: argparse.Namespace) -> int:
     out = _resolve_output(args, "optimize.json")
     write_json(result.to_dict(), out)
     print(f"best_deficit={result.best_deficit!r} iterations={result.iterations}")
-    if result.best_deficit < -args.tolerances["optimizer"]:
+    if result.best_deficit < -args.tolerance:
         print(
             "lsilab: optimizer produced a negative deficit for a proven "
             "inequality; check the quadrature settings",
@@ -229,9 +191,9 @@ def _optimize(args: argparse.Namespace) -> int:
 
 
 def _diaz(args: argparse.Namespace) -> int:
-    report = experiments.diaz_probe(
-        args.q, args.trials, args.seed, n=args.n, modes=min(args.n_max, 64)
-    )
+    if not 1 <= args.modes <= 64:
+        raise ParamOutOfRangeError(f"--modes must lie in [1, 64], got {args.modes}")
+    report = experiments.diaz_probe(args.q, args.trials, args.seed, n=args.n, modes=args.modes)
     out = _resolve_output(args, "diaz.csv")
     if out.suffix == ".json":
         write_json(report.to_dict(), out)
@@ -251,11 +213,11 @@ def _eigen(args: argparse.Namespace) -> int:
     # cap the scanned modes so every harmonic (and its square) stays
     # resolvable on the n-point grid
     value = experiments.eigenvalue_check(args.n, min(args.n_max, max(1, args.n // 4)))
-    reference = 4.0 * math.pi**2
+    reference = functionals.FOUR_PI_SQUARED
     out = _resolve_output(args, "eigen.json")
     write_json({"eigenvalue": value, "reference": reference, "n": args.n}, out)
     print(f"eigenvalue={value!r}")
-    if abs(value - reference) > args.tolerances["eigenvalue"]:
+    if abs(value - reference) > args.tolerance:
         print("lsilab: spectral-gap check failed", file=sys.stderr)
         return 2
     return 0
@@ -278,8 +240,7 @@ def _weissler(args: argparse.Namespace) -> int:
         out,
     )
     print(f"entropy={ent!r} abs_n_bound={abs_bound!r} n_squared_bound={sq_bound!r}")
-    tol = args.tolerances["entropy"]
-    if ent > abs_bound + tol or abs_bound > sq_bound + tol:
+    if ent > abs_bound + args.tolerance or abs_bound > sq_bound + args.tolerance:
         print("lsilab: Fourier-side entropy bound violated numerically", file=sys.stderr)
         return 2
     return 0
@@ -299,8 +260,6 @@ _DOMAIN = ("--domain", dict(choices=["interval", "circle"], required=True,
 _FORM = ("--form", dict(choices=["auto", "density", "wirtinger"], default="auto",
                        help="deficit form: auto = log-Sobolev by domain, density = Fisher "
                             "information form, wirtinger = mean-deviation bound"))
-_TOLERANCE = ("--tolerance", dict(action="append", default=[], metavar="[NAME=]VALUE",
-                                 help="override a check tolerance (repeatable)"))
 _SEED = ("--seed", dict(type=int, default=0, help="random seed (default 0)"))
 
 
@@ -309,8 +268,9 @@ def _n(default: int) -> tuple:
                         help=f"grid sample count (default {default})"))
 
 
-def _n_max(meaning: str) -> tuple:
-    return ("--n-max", dict(type=int, default=64, help=f"{meaning} (default 64)"))
+def _tolerance(default: float) -> tuple:
+    return ("--tolerance", dict(type=float, default=default,
+                                help=f"exit 2 beyond this tolerance (default {default!r})"))
 
 
 #: Command name -> Command. Every command also takes --output.
@@ -318,7 +278,7 @@ COMMANDS = {
     "functional": Command(_deficit, "evaluate the functional report of a grid CSV",
                           (_INPUT, _DOMAIN, _FORM)),
     "verify": Command(_deficit, "evaluate a deficit and fail (exit 2) if negative",
-                      (_INPUT, _DOMAIN, _FORM, _TOLERANCE)),
+                      (_INPUT, _DOMAIN, _FORM, _tolerance(1e-7))),
     "reflect": Command(_transform, "reflect a [0,1] function onto the unit circle", (_INPUT,)),
     "normalize": Command(_transform, "affine-rescale an interval function to unit mass on [0,1]",
                          (_INPUT,)),
@@ -326,26 +286,37 @@ COMMANDS = {
                          (_INPUT, _DOMAIN)),
     "sweep": Command(_sweep, "sharpness sweep of the extremal family", (
         _n(8193),
-        ("--eps", dict(required=True, help="comma-separated epsilon list")),
+        ("--eps", dict(required=True, type=functools.partial(_parse_float_list, what="epsilon"),
+                       help="comma-separated epsilon list")),
         ("--extrapolate", dict(action="store_true", help="print the extrapolated constant")),
     )),
-    "wang": Command(_wang, "ODE residual of the exponential-cosine family",
-                    (_n(2049), _TOLERANCE, ("--eps", dict(type=float, default=0.2)))),
+    "wang": Command(_wang, "ODE residual of the exponential-cosine family", (
+        _n(2049), _tolerance(1e-6),
+        ("--eps", dict(type=float, default=0.2, help="family parameter in (0, 1) (default 0.2)")),
+    )),
     "optimize": Command(_optimize, "minimize the deficit by projected gradient descent", (
-        _n(2049), _SEED, _TOLERANCE,
-        ("--domain", dict(choices=["interval", "circle"], default="interval")),
-        ("--n-modes", dict(type=int, default=16)),
-        ("--max-iters", dict(type=int, default=5000)),
+        _n(2049), _SEED, _tolerance(1e-6),
+        ("--domain", dict(choices=["interval", "circle"], default="interval",
+                          help="[0, 1] or the unit circle (default interval)")),
+        ("--n-modes", dict(type=int, default=16,
+                           help="trial-function coefficients, at least 2 (default 16)")),
+        ("--max-iters", dict(type=int, default=5000, help="iteration cap (default 5000)")),
     )),
     "diaz": Command(_diaz, "probe the open power-mean conjecture", (
-        _n(2049), _n_max("random modes per trial, at most 64"), _SEED,
-        ("--q", dict(required=True, help="comma-separated exponent list")),
-        ("--trials", dict(type=int, default=100)),
+        _n(2049), _SEED,
+        ("--modes", dict(type=int, default=64, help="random modes per trial, 1 to 64 (default 64)")),
+        ("--q", dict(required=True, type=functools.partial(_parse_float_list, what="q"),
+                     help="comma-separated exponent list")),
+        ("--trials", dict(type=int, default=100,
+                          help="trial functions, the constant among them (default 100)")),
     )),
-    "eigen": Command(_eigen, "first-eigenvalue sanity check on the unit circle",
-                     (_n(256), _n_max("highest harmonic scanned, at most N/4"), _TOLERANCE)),
+    "eigen": Command(_eigen, "first-eigenvalue sanity check on the unit circle", (
+        _n(256), _tolerance(1e-7),
+        ("--n-max", dict(type=int, default=64,
+                         help="highest harmonic scanned, at most N/4 (default 64)")),
+    )),
     "weissler": Command(_weissler, "Fourier-side entropy bounds for a coefficient JSON",
-                        (_INPUT, _n(4096), _TOLERANCE)),
+                        (_INPUT, _n(4096), _tolerance(1e-7))),
 }
 
 

@@ -10,7 +10,7 @@ the functionals module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -366,15 +366,7 @@ class DiazProbeReport:
             "trials": self.trials,
             "n": self.n,
             "modes": self.modes,
-            "results": [
-                {
-                    "q": r.q,
-                    "min_deficit": r.min_deficit,
-                    "argmin_trial": r.argmin_trial,
-                    "flagged": r.flagged,
-                }
-                for r in self.results
-            ],
+            "results": [asdict(r) for r in self.results],
             "counterexamples": [
                 {"q": q, "trial": trial} for q, trial, _ in self.counterexamples
             ],

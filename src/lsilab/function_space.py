@@ -217,41 +217,36 @@ def differentiate(f: GridFunction) -> GridFunction:
     d = np.empty_like(v)
     # interior: (f[i-2] - 8 f[i-1] + 8 f[i+1] - f[i+2]) / 12h
     d[2:-2] = (8.0 * (v[3:-1] - v[1:-3]) - (v[4:] - v[:-4])) / (12.0 * h)
+    d[0], d[1] = _closure_stencils(v, h)
+    right_end, right_next = _closure_stencils(v[::-1], h)
+    d[-1], d[-2] = -right_end, -right_next
+    return GridFunction(f.domain, _finite_derivative(d))
+
+
+def _closure_stencils(v: np.ndarray, h: float) -> tuple[float, float]:
+    """d[0] and d[1] of the samples v; negated on v[::-1], they give d[-1] and d[-2]."""
+    # Boundary: least-l1-norm one-sided fourth-order stencil on nodes
+    # {0,1,4,7,8}, coefficients (-85/56, 16/9, -7/18, 16/63, -1/8);
+    # sum |c| = 4.06 versus 32/3 for the contiguous five-point stencil,
+    # which keeps repeated differentiation of float64 samples near the
+    # representation-noise floor.
+    d0 = (
+        16.0 / 9.0 * (v[1] - v[0])
+        - 7.0 / 18.0 * (v[4] - v[0])
+        + 16.0 / 63.0 * (v[7] - v[0])
+        - 0.125 * (v[8] - v[0])
+    ) / h
     # One node in: least-l1-norm fourth-order stencil on offsets {-1,1,2,4,5},
     # coefficients (-13/30, 1/12, 1/2, -7/30, 1/12); sum |c| = 4/3 versus 19/6
     # for the contiguous five-point choice.
-    d[1] = (
+    d1 = (
         -13.0 / 30.0 * (v[0] - v[1])
         + 1.0 / 12.0 * (v[2] - v[1])
         + 0.5 * (v[3] - v[1])
         - 7.0 / 30.0 * (v[5] - v[1])
         + 1.0 / 12.0 * (v[6] - v[1])
     ) / h
-    d[-2] = -(
-        -13.0 / 30.0 * (v[-1] - v[-2])
-        + 1.0 / 12.0 * (v[-3] - v[-2])
-        + 0.5 * (v[-4] - v[-2])
-        - 7.0 / 30.0 * (v[-6] - v[-2])
-        + 1.0 / 12.0 * (v[-7] - v[-2])
-    ) / h
-    # Boundary: least-l1-norm one-sided fourth-order stencil on nodes
-    # {0,1,4,7,8}, coefficients (-85/56, 16/9, -7/18, 16/63, -1/8);
-    # sum |c| = 4.06 versus 32/3 for the contiguous five-point stencil,
-    # which keeps repeated differentiation of float64 samples near the
-    # representation-noise floor.
-    d[0] = (
-        16.0 / 9.0 * (v[1] - v[0])
-        - 7.0 / 18.0 * (v[4] - v[0])
-        + 16.0 / 63.0 * (v[7] - v[0])
-        - 0.125 * (v[8] - v[0])
-    ) / h
-    d[-1] = -(
-        16.0 / 9.0 * (v[-2] - v[-1])
-        - 7.0 / 18.0 * (v[-5] - v[-1])
-        + 16.0 / 63.0 * (v[-8] - v[-1])
-        - 0.125 * (v[-9] - v[-1])
-    ) / h
-    return GridFunction(f.domain, _finite_derivative(d))
+    return d0, d1
 
 
 def _finite_derivative(d: np.ndarray) -> np.ndarray:
@@ -579,17 +574,28 @@ def write_fourier_json(series: FourierSeries, path: str | Path) -> None:
 
 
 def read_fourier_json(path: str | Path) -> FourierSeries:
-    with open(path) as handle:
+    """Parse the UTF-8 JSON of :func:`write_fourier_json`; each mode index
+    must be a JSON integer of size at most MAX_SAMPLES, given once."""
+    with open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError:
+            raise InvalidInputError(f"{path}: not a UTF-8 text file") from None
+        except (ValueError, RecursionError) as exc:
             raise InvalidInputError(f"{path}: invalid JSON: {exc}") from None
     try:
         circumference = float(payload["circumference"])
-        entries = {
-            int(item["n"]): complex(float(item["re"]), float(item["im"]))
-            for item in payload["coefficients"]
-        }
-    except (KeyError, TypeError, ValueError) as exc:
+        entries = {}
+        for item in payload["coefficients"]:
+            n = item["n"]
+            if type(n) is not int or abs(n) > MAX_SAMPLES:
+                raise InvalidInputError(
+                    f"{path}: mode index {n!r:.40} is not an integer in "
+                    f"[-{MAX_SAMPLES}, {MAX_SAMPLES}]"
+                )
+            if n in entries:
+                raise InvalidInputError(f"{path}: duplicate mode index {n}")
+            entries[n] = complex(float(item["re"]), float(item["im"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{path}: malformed Fourier series payload: {exc}") from None
     return fourier_from_dict(circumference, entries)

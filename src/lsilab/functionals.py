@@ -10,8 +10,8 @@ probes an open conjecture, so negative values there are findings, not
 errors.
 
 Every log-Sobolev deficit comes from one of two kernels. With L the
-domain length (1 on the unit circle) and c = pi^2 on intervals, 4*pi^2
-on circles:
+domain length (1 on the unit circle, the one circle they accept) and
+c = pi^2 on intervals, 4*pi^2 on circles:
 
   kernel                  constant   correction   m
   _log_sobolev_report     c / L^2    L m^2 log m  root mean square of f
@@ -178,11 +178,15 @@ def _report(
 def _geometry(domain) -> tuple[float, float]:
     """(L, c): an interval's length and pi^2, or 1 and 4 pi^2 for a circle.
 
-    Circles reach the kernels only as the unit circle within GEOM_TOL, so
-    L is exactly 1, not the rounded circumference of a grid file.
+    L is exactly 1 on the unit circle within GEOM_TOL, not the rounded
+    circumference of a grid file; any other circle raises DomainMismatchError.
     """
     if isinstance(domain, Interval):
         return domain.length, PI_SQUARED
+    if not is_unit_circle(domain):
+        raise DomainMismatchError(
+            f"circle reports require circumference 1, got {domain.circumference!r}"
+        )
     return 1.0, FOUR_PI_SQUARED
 
 
@@ -192,9 +196,9 @@ def _log_sobolev_report(f: GridFunction, unit_mass: bool = False) -> FunctionalR
     With ``unit_mass`` the domain is a unit one, L = 1, the squared mass
     must be 1 and the correction is 0.
     """
-    energy = dirichlet_energy(f)  # first: an overflowing derivative is named as such
-    mass = squared_mass(f)
     length, c = _geometry(f.domain)
+    energy = dirichlet_energy(f)  # next: an overflowing derivative is named as such
+    mass = squared_mass(f)
     if unit_mass:
         if abs(mass - 1.0) > NORMALIZATION_TOL:
             raise NotNormalizedError(
@@ -212,12 +216,12 @@ def _log_sobolev_report(f: GridFunction, unit_mass: bool = False) -> FunctionalR
 @np.errstate(over="ignore", invalid="ignore")
 def _fisher_report(f: GridFunction) -> FunctionalReport:
     """``fisher - (2c / L^2) * (integral f log f - L * m log m)``, m the mean."""
+    length, c = _geometry(f.domain)
     values = f.values
     low = float(np.min(values))
     if low < MASS_TOL:
         raise NonPositiveFunctionError(f"minimum value {low:.3e}; need min >= {MASS_TOL:.0e}")
-    d = differentiate(f).values  # first, as in _log_sobolev_report
-    length, c = _geometry(f.domain)
+    d = differentiate(f).values  # before the integrals, as in _log_sobolev_report
     w = quadrature_weights(f.domain, f.n)
     mass = float(w @ values)
     m = mass / length
@@ -240,8 +244,8 @@ def lsi_deficit_interval(f: GridFunction) -> FunctionalReport:
 
 def lsi_deficit_circle(f: GridFunction) -> FunctionalReport:
     """Deficit of 4*pi^2 * integral f^2 log f <= integral (f')^2 on the unit circle."""
-    if not is_unit_circle(f.domain):
-        raise DomainMismatchError("circle deficit requires a circle of circumference 1")
+    if not isinstance(f.domain, Circle):
+        raise DomainMismatchError("circle deficit requires a circle domain")
     return _log_sobolev_report(f, unit_mass=True)
 
 
@@ -319,7 +323,7 @@ def wirtinger_deficit(f: GridFunction) -> float:
     """
     if not is_unit_interval(f.domain):
         raise DomainMismatchError("Wirtinger deficit requires the domain [0, 1]")
-    energy = dirichlet_energy(f)  # first, as in _log_sobolev_report
+    energy = dirichlet_energy(f)  # before the integrals, as in _log_sobolev_report
     w = quadrature_weights(f.domain, f.n)
     mean = float(w @ f.values)  # interval length is 1
     dev = f.values - mean

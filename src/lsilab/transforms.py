@@ -32,7 +32,6 @@ from .function_space import (
     GridFunction,
     Interval,
     UNIT_INTERVAL,
-    is_unit_circle,
     is_unit_interval,
 )
 from .functionals import (
@@ -120,8 +119,6 @@ def sqrt_lift(f: GridFunction) -> tuple[GridFunction, TransformCertificate]:
     ``integral g^2 log g = (1/2) integral f log f``.
     """
     rep_in = _fisher_report(f)
-    if isinstance(f.domain, Circle) and not is_unit_circle(f.domain):
-        raise DomainMismatchError("square-root lift reports require a unit circle")
     g = f.with_values(np.sqrt(f.values))
     rep_out = _log_sobolev_report(g)
     residuals = {

@@ -23,7 +23,7 @@ from lsilab import (
     write_grid_csv,
 )
 from lsilab import experiments, functionals
-from lsilab.cli import DEFAULT_TOLERANCES, build_parser, main, parse_config
+from lsilab.cli import COMMANDS, build_parser, main, parse_config
 from lsilab.experiments import DiazProbeReport, DiazQResult
 from lsilab.function_space import MAX_SAMPLES, write_csv
 
@@ -74,10 +74,10 @@ def test_missing_input_exits_one(tmp_path, capsys):
 
 
 def test_verify_negative_tolerance_triggers_exit_two(const_csv, tmp_path, capsys):
-    # a negative override turns the check into "deficit must exceed |tol|",
+    # a negative tolerance turns the check into "deficit must exceed |tol|",
     # which the zero-deficit constant fails: exercises the exit-2 path
     code = main(["verify", "--input", str(const_csv), "--domain", "interval",
-                 "--output", str(tmp_path / "r.json"), "--tolerance", "deficit=-0.5"])
+                 "--output", str(tmp_path / "r.json"), "--tolerance", "-0.5"])
     assert code == 2
 
 
@@ -114,7 +114,7 @@ def test_wang_exits_zero_and_writes_residual(tmp_path):
 def test_wang_tight_tolerance_exits_two(tmp_path):
     code = main(["wang", "--eps", "0.2", "--N", "2049",
                  "--output", str(tmp_path / "wang.json"),
-                 "--tolerance", "residual=1e-12"])
+                 "--tolerance", "1e-12"])
     assert code == 2
 
 
@@ -232,7 +232,7 @@ def test_verify_wirtinger_form(tmp_path):
     # exercising the exit-2 path for this form as well
     code = main(["verify", "--input", str(src), "--domain", "interval",
                  "--form", "wirtinger", "--output", str(out),
-                 "--tolerance", "deficit=-0.5"])
+                 "--tolerance", "-0.5"])
     assert code == 2
 
 
@@ -332,19 +332,19 @@ def test_non_utf8_input_exits_one_with_one_line(tmp_path, capsys):
 
 def test_cached_parser_keeps_calls_apart(tmp_path, capsys):
     assert build_parser() is build_parser()
-    first = parse_config(["weissler", "--input", "a.csv",
-                          "--tolerance", "eigenvalue=0.5", "--N", "2049"])
-    assert first.tolerances["eigenvalue"] == 0.5
+    first = parse_config(["weissler", "--input", "a.csv", "--tolerance", "0.5", "--N", "2049"])
+    assert first.tolerance == 0.5
     second = parse_config(["weissler", "--input", "b.csv"])
-    assert second.tolerances == DEFAULT_TOLERANCES
-    assert second.tolerances["eigenvalue"] == DEFAULT_TOLERANCES["eigenvalue"]
+    assert second.tolerance == 1e-7
     assert (second.input, second.n) == ("b.csv", 4096)
     third = parse_config(["verify", "--input", "c.csv", "--domain", "circle"])
-    assert third.tolerances == DEFAULT_TOLERANCES
+    assert third.tolerance == 1e-7
     assert (third.input, third.domain) == ("c.csv", "circle")
+    assert parse_config(["wang", "--tolerance", "0.25"]).tolerance == 0.25
+    assert parse_config(["wang"]).tolerance == 1e-6
     # a negative tolerance fails the check; the next call must not inherit it
     out = str(tmp_path / "eigen.json")
-    assert main(["eigen", "--N", "64", "--tolerance", "eigenvalue=-1", "--output", out]) == 2
+    assert main(["eigen", "--N", "64", "--tolerance", "-1", "--output", out]) == 2
     assert "spectral-gap check failed" in capsys.readouterr().err
     assert main(["eigen", "--N", "64", "--output", out]) == 0
     assert capsys.readouterr().err == ""
@@ -400,15 +400,19 @@ def test_overflowing_circle_derivative_exits_one_with_one_line(tmp_path, capsys,
 
 
 def test_unknown_tolerance_name_exits_one(tmp_path, capsys):
+    # a tolerance is one float: a NAME=VALUE item is a malformed flag value
     out = str(tmp_path / "eigen.json")
     assert main(["eigen", "--N", "64", "--tolerance", "diaz=1e-7", "--output", out]) == 1
-    assert capsys.readouterr().err == "lsilab: error: unknown tolerance 'diaz' in 'diaz=1e-7'\n"
+    assert capsys.readouterr().err == (
+        "lsilab: error: argument --tolerance: invalid float value: 'diaz=1e-7'\n"
+    )
     assert not (tmp_path / "eigen.json").exists()
-    # '*' and a bare value set every tolerance; a named override beats them
-    assert main(["eigen", "--N", "64", "--tolerance", "*=-1", "--output", out]) == 2
+    # a bare value sets the tolerance; when repeated, the last value wins
     assert main(["eigen", "--N", "64", "--tolerance", "-1", "--output", out]) == 2
-    assert main(["eigen", "--N", "64", "--tolerance", "-1", "--tolerance", "eigenvalue=1e-7",
+    assert main(["eigen", "--N", "64", "--tolerance", "-1", "--tolerance", "1e-7",
                  "--output", out]) == 0
+    assert main(["eigen", "--N", "64", "--tolerance", "1e-7", "--tolerance", "-1",
+                 "--output", out]) == 2
 
 
 @pytest.mark.parametrize("command, values, name", [
@@ -461,7 +465,7 @@ ACCEPTED_FLAGS = {
     "wang": {"--output", "--N", "--eps", "--tolerance"},
     "optimize": {"--output", "--N", "--seed", "--tolerance", "--domain", "--n-modes",
                  "--max-iters"},
-    "diaz": {"--output", "--N", "--n-max", "--seed", "--q", "--trials"},
+    "diaz": {"--output", "--N", "--modes", "--seed", "--q", "--trials"},
     "eigen": {"--output", "--N", "--n-max", "--tolerance"},
     "weissler": {"--output", "--input", "--N", "--tolerance"},
 }
@@ -494,6 +498,11 @@ def test_each_command_takes_only_the_flags_it_reads():
     (["eigen", "--N", "abc"], "argument --N: invalid int value: 'abc'"),
     (["diaz", "--q", ",", "--trials", "2"], "empty q list ','"),
     (["sweep", "--eps", ","], "empty epsilon list ','"),
+    (["verify", "--input", "IN", "--domain", "interval", "--tolerance", "deficit=1e-3"],
+     "argument --tolerance: invalid float value: 'deficit=1e-3'"),
+    (["diaz", "--q", "1.5", "--trials", "2", "--modes", "65"], "--modes must lie in [1, 64], got 65"),
+    (["diaz", "--q", "1.5", "--trials", "2", "--modes", "0"], "--modes must lie in [1, 64], got 0"),
+    (["diaz", "--q", "1.5", "--trials", "2", "--n-max", "8"], "unrecognized arguments: --n-max 8"),
 ])
 def test_usage_errors_exit_one_with_one_line(const_csv, tmp_path, monkeypatch, capsys,
                                             argv, message):
@@ -507,18 +516,72 @@ def test_usage_errors_exit_one_with_one_line(const_csv, tmp_path, monkeypatch, c
     assert sorted(p.name for p in tmp_path.iterdir()) == [const_csv.name]
 
 
-def test_sample_count_seed_and_mode_cap_flags_have_help():
+#: The check tolerance of each command that has one.
+TOLERANCES = {"verify": 1e-7, "wang": 1e-6, "optimize": 1e-6, "eigen": 1e-7, "weissler": 1e-7}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_every_flag_has_help(name):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    helps = {
-        (name, flag): action.help
-        for name, parser in sub.choices.items()
-        for action in parser._actions
-        for flag in action.option_strings
-        if flag in ("--N", "--seed", "--n-max")
-    }
-    assert all(helps.values()) and len(helps) == 10
-    assert helps[("diaz", "--n-max")].startswith("random modes per trial, at most 64")
-    assert helps[("eigen", "--n-max")].startswith("highest harmonic scanned, at most N/4")
+    actions = {flag: action for action in sub.choices[name]._actions
+               for flag in action.option_strings}
+    assert all(action.help for action in actions.values())
+    if name in TOLERANCES:
+        assert actions["--tolerance"].default == TOLERANCES[name]
+        assert f"(default {TOLERANCES[name]!r})" in actions["--tolerance"].help
+    else:
+        assert "--tolerance" not in actions
+    if name == "diaz":
+        assert actions["--modes"].help.startswith("random modes per trial, 1 to 64")
+    if name == "eigen":
+        assert actions["--n-max"].help.startswith("highest harmonic scanned, at most N/4")
+
+
+def test_diaz_modes_sets_the_modes_per_trial(tmp_path, capsys):
+    out = tmp_path / "diaz.json"
+    code = main(["diaz", "--q", "1.5", "--trials", "3", "--N", "257", "--modes", "8",
+                 "--output", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["modes"] == 8
+
+
+@pytest.mark.parametrize("command", [["verify"], ["functional"], ["sqrt-lift"]])
+def test_non_unit_circle_exits_one_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / "wide.csv"
+    write_grid_csv(sample_family(Family.CONSTANT, [1.0], Circle(2.0), 64), path)
+    out = tmp_path / "r.json"
+    code = main(command + ["--domain", "circle", "--input", str(path), "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "lsilab: error: circle reports require circumference 1, got 2.0\n"
+    )
+    assert not out.exists()
+
+
+def _series_json(*entries):
+    items = ", ".join('{"n": %s, "re": %s, "im": 0.0}' % entry for entry in entries)
+    return ('{"circumference": 1.0, "coefficients": [%s]}' % items).encode()
+
+
+@pytest.mark.parametrize("payload, message", [
+    (_series_json(("0", "1.0")) + b"\xff\xfe", "not a UTF-8 text file"),
+    (_series_json(("Infinity", "1.0")), "mode index inf is not an integer"),
+    (b"[" * 200_000 + b"]" * 200_000, "invalid JSON: maximum recursion depth exceeded"),
+    (_series_json(("0", "1.0"), ("0.5", "2.0")), "mode index 0.5 is not an integer"),
+    (_series_json(("0", "1.0"), ("0", "2.0")), "duplicate mode index 0"),
+    (_series_json(("1" * 5000, "1.0")), "invalid JSON: Exceeds the limit"),
+    (_series_json(("9" * 4300, "1.0")), "mode index 9999999999"),
+    (_series_json(("0", "1" * 400)), "malformed Fourier series payload: int too large"),
+])
+def test_hostile_fourier_json_exits_one_with_one_line(tmp_path, capsys, payload, message):
+    path = tmp_path / "series.json"
+    path.write_bytes(payload)
+    out = tmp_path / "w.json"
+    assert main(["weissler", "--input", str(path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"lsilab: error: {path}: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["functional", "-h"], ["eigen", "--help"]])

@@ -8,6 +8,7 @@ import pytest
 from lsilab import (
     Circle,
     FOUR_PI_SQUARED,
+    Family,
     InsufficientDataError,
     PI_SQUARED,
     ParamOutOfRangeError,
@@ -18,16 +19,19 @@ from lsilab import (
     eigenvalue_check,
     extrapolate_constant,
     minimize_deficit,
+    sample_family,
     sharpness_sweep,
     wang_ode_residual,
 )
 from lsilab.experiments import (
     DIAZ_CSV_HEADER,
+    DiazProbeReport,
+    DiazQResult,
     SWEEP_CSV_HEADER,
     mode_quotient,
     synthesize_coefficients,
 )
-from lsilab.function_space import write_csv
+from lsilab.function_space import write_csv, write_json
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +217,43 @@ def test_probe_is_bit_reproducible(tmp_path):
         report = diaz_probe([1.5, 2.0], 10, 5)
         write_csv(DIAZ_CSV_HEADER, [r.csv_row() for r in report.results], path)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _reference_probe_dict(report):
+    """The field-by-field DiazProbeReport.to_dict that asdict replaced."""
+    return {
+        "seed": report.seed,
+        "trials": report.trials,
+        "n": report.n,
+        "modes": report.modes,
+        "results": [
+            {
+                "q": r.q,
+                "min_deficit": r.min_deficit,
+                "argmin_trial": r.argmin_trial,
+                "flagged": r.flagged,
+            }
+            for r in report.results
+        ],
+        "counterexamples": [{"q": q, "trial": trial} for q, trial, _ in report.counterexamples],
+    }
+
+
+def test_probe_to_dict_writes_the_bytes_of_the_field_by_field_dict(tmp_path):
+    witness = sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, 64)
+    reports = [
+        diaz_probe([1.25, 2.0], 4, 7, n=257, modes=8),
+        DiazProbeReport(
+            seed=1, trials=2, n=64, modes=4,
+            results=(DiazQResult(1.5, -1e-3, 1, True), DiazQResult(np.float64(2.0), 1e-17, 0, False)),
+            counterexamples=((1.5, 1, witness),),
+        ),
+    ]
+    for i, report in enumerate(reports):
+        want, got = tmp_path / f"want{i}.json", tmp_path / f"got{i}.json"
+        write_json(_reference_probe_dict(report), want)
+        write_json(report.to_dict(), got)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_probe_validation():

@@ -229,6 +229,17 @@ def test_differentiate_names_overflow_of_finite_samples(domain):
             differentiate(f)
 
 
+@pytest.mark.parametrize("n", [16, 17, 65, 300])
+def test_differentiate_interval_reversed_samples_give_the_negated_reversed_derivative(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        a = rng.uniform(-10.0, 10.0)
+        domain = Interval(a, a + rng.uniform(1e-3, 1e3))
+        f = GridFunction(domain, rng.standard_normal(n) * 10.0 ** rng.uniform(-10.0, 10.0))
+        reversed_d = differentiate(f.with_values(f.values[::-1])).values
+        assert np.array_equal(reversed_d, -differentiate(f).values[::-1])
+
+
 def test_differentiate_interval_fourth_order():
     errors = []
     for n in (65, 129, 257):

@@ -198,6 +198,12 @@ def test_sqrt_lift_requires_positivity():
         sqrt_lift(f)
 
 
+def test_sqrt_lift_requires_unit_circle():
+    f = sample_family(Family.CONSTANT, [4.0], Circle(2.0), 64)
+    with pytest.raises(DomainMismatchError, match="circumference 1, got 2.0"):
+        sqrt_lift(f)
+
+
 def test_certificate_serialization_shape(tmp_path):
     from lsilab.function_space import write_json
     import json
