@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -268,8 +269,21 @@ def _n(default: int) -> tuple:
                         help=f"grid sample count (default {default})"))
 
 
+def _finite_float(text: str) -> float:
+    """A ``--tolerance`` value. A NaN or infinite one would settle the check
+    before it is made: every comparison with NaN is false, and none with an
+    infinity depends on the result."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite float, got {text!r}")
+    return value
+
+
 def _tolerance(default: float) -> tuple:
-    return ("--tolerance", dict(type=float, default=default,
+    return ("--tolerance", dict(type=_finite_float, default=default,
                                 help=f"exit 2 beyond this tolerance (default {default!r})"))
 
 

@@ -22,7 +22,7 @@ from lsilab import (
     write_fourier_json,
     write_grid_csv,
 )
-from lsilab import experiments, functionals
+from lsilab import experiments, function_space, functionals
 from lsilab.cli import COMMANDS, build_parser, main, parse_config
 from lsilab.experiments import DiazProbeReport, DiazQResult
 from lsilab.function_space import MAX_SAMPLES, write_csv
@@ -535,6 +535,47 @@ def test_every_flag_has_help(name):
         assert actions["--modes"].help.startswith("random modes per trial, 1 to 64")
     if name == "eigen":
         assert actions["--n-max"].help.startswith("highest harmonic scanned, at most N/4")
+
+
+#: argv of each command that takes --tolerance; IN and SERIES name its input files
+TOLERANCE_ARGV = {
+    "verify": ["verify", "--input", "IN", "--domain", "interval"],
+    "wang": ["wang"],
+    "optimize": ["optimize", "--max-iters", "5"],
+    "eigen": ["eigen", "--N", "64"],
+    "weissler": ["weissler", "--input", "SERIES"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(TOLERANCE_ARGV))
+def test_non_finite_tolerance_exits_one_with_one_line(const_csv, tmp_path, monkeypatch, capsys,
+                                                      name, value):
+    # with NaN or an infinity, the check's outcome would not depend on the result
+    assert sorted(TOLERANCE_ARGV) == sorted(TOLERANCES)
+    series = tmp_path / "series.json"
+    write_fourier_json(fourier_from_dict(1.0, {0: 1.0}), series)
+    monkeypatch.chdir(tmp_path)
+    inputs = {"IN": str(const_csv), "SERIES": str(series)}
+    argv = [inputs.get(arg, arg) for arg in TOLERANCE_ARGV[name]]
+    assert main(argv + [f"--tolerance={value}", "--output", str(tmp_path / "out.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"lsilab: error: argument --tolerance: must be a finite float, got {value!r}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([const_csv.name, series.name])
+
+
+def test_grid_csv_over_the_row_cap_exits_one_with_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(function_space, "MAX_SAMPLES", 64)
+    path = tmp_path / "long.csv"
+    write_grid_csv(sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, 65), path)
+    out = tmp_path / "r.json"
+    code = main(["verify", "--input", str(path), "--domain", "interval", "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"lsilab: error: {path}: more than 64 rows\n"
+    assert not out.exists()
 
 
 def test_diaz_modes_sets_the_modes_per_trial(tmp_path, capsys):

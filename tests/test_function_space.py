@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lsilab import (
@@ -33,6 +33,7 @@ from lsilab import (
     to_fourier,
     write_grid_csv,
 )
+from lsilab import function_space
 from lsilab.function_space import MAX_SAMPLES, read_fourier_json, write_fourier_json
 
 
@@ -469,6 +470,11 @@ ACCEPTED_GRID_CSV = {
     "blank-rows": "x,value\n\n" + "\n\n".join(_grid_rows()) + "\n\n\n",
     "header-spaces": "  x , value \n" + "\n".join(_grid_rows()) + "\n",
     "field-spaces": "x,value\n" + "\n".join(r.replace(",", " , ") for r in _grid_rows()) + "\n",
+    "underscore-digits": _with_row(5, _grid_rows()[5].split(",")[0] + ",1_000"),
+    "arabic-indic-digit": _with_row(6, _grid_rows()[6].split(",")[0] + ",\u0661.5"),
+    "lone-cr": "x,value\r" + "\r".join(_grid_rows()) + "\r",
+    "form-feed-and-line-separator": _with_row(7, _grid_rows()[7].replace(",", "\x0c,\u2028")),
+    "quoted-header-newline": '"x\n",value\n' + "\n".join(_grid_rows()) + "\n",
 }
 
 REJECTED_GRID_CSV = {
@@ -488,6 +494,19 @@ REJECTED_GRID_CSV = {
     ),
     "too-few-rows": ("x,value\n" + "\n".join(_grid_rows()[:5]) + "\n", "need at least 16 rows, got 5"),
     "empty": ("", "need at least 16 rows, got 0"),
+    "header-only": ("x,value\n", "need at least 16 rows, got 0"),
+    "whitespace-row": (_with_row(7, _grid_rows()[7] + "\n   "), "line 10: expected 2 fields, got 1"),
+    "comma-row": (_with_row(7, _grid_rows()[7] + "\n,"), "line 10: non-numeric field"),
+    "field-separator": (_with_row(8, _grid_rows()[8] + "\x1c"), "line 10: non-numeric field"),
+    "quoted-header-newline-bad-row": (
+        '"x\n",value\n' + "\n".join(_grid_rows()[:3] + ["0.1,abc"]) + "\n",
+        "line 5: non-numeric field",
+    ),
+    "byte-order-mark": ("\ufeff" + _with_row(0, _grid_rows()[0]), "line 1: expected header 'x,value'"),
+    "value-1e309": (_with_row(9, _grid_rows()[9].split(",")[0] + ",1e309"),
+                    "all sampled values must be finite"),
+    "value-nan": (_with_row(9, _grid_rows()[9].split(",")[0] + ",nan"),
+                  "all sampled values must be finite"),
 }
 
 
@@ -496,7 +515,11 @@ def test_read_grid_csv_accepts_what_the_row_reader_accepts(tmp_path, case):
     path = tmp_path / f"{case}.csv"
     path.write_bytes(ACCEPTED_GRID_CSV[case].encode())
     for kind in ("interval", "circle"):
-        got, want = read_grid_csv(path, kind), _read_grid_csv_by_row(path, kind)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = read_grid_csv(path, kind)
+        assert caught == []  # np.loadtxt's warnings never reach the user
+        want = _read_grid_csv_by_row(path, kind)
         assert np.array_equal(got.values, want.values)
         assert got.domain == want.domain
 
@@ -508,9 +531,12 @@ def test_read_grid_csv_rejects_like_the_row_reader(tmp_path, case):
     path.write_bytes(text.encode())
     with pytest.raises(InvalidInputError) as want:
         _read_grid_csv_by_row(path, "interval")
-    with pytest.raises(InvalidInputError) as got:
+    with pytest.raises(InvalidInputError) as got, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         read_grid_csv(path, "interval")
-    assert str(got.value) == str(want.value) == f"{path}: {message}"
+    assert caught == []
+    assert str(got.value) == str(want.value)
+    assert str(got.value).removeprefix(f"{path}: ") == message  # GridFunction's checks name no path
 
 
 @pytest.mark.parametrize("data", [
@@ -530,6 +556,112 @@ def test_read_grid_csv_rejects_oversized_field(tmp_path):
     path.write_text("x,value\n" + "1" * (csv.field_size_limit() + 1) + ",1.0\n")
     with pytest.raises(InvalidInputError, match="line 2"):
         read_grid_csv(path, "interval")
+
+
+@pytest.mark.parametrize("head", [
+    "x,value\n" + " " * csv.field_size_limit() + "0.5,1.0\n",
+    'x,value\n"' + "\n" * csv.field_size_limit() + '0.5",1.0\n',
+    "x" + " " * csv.field_size_limit() + ",value\n",
+], ids=["padded", "quoted-lines", "header"])
+def test_read_grid_csv_rejects_an_oversized_field_the_bulk_parse_would_take(tmp_path, head):
+    # np.loadtxt has no field limit: it reads 0.5 in the first two, and the
+    # header's x strips to "x"; the csv module stops at its field limit
+    path = tmp_path / "huge.csv"
+    path.write_text(head + "\n".join(_grid_rows()) + "\n")
+    with pytest.raises(InvalidInputError, match="field larger than field limit"):
+        read_grid_csv(path, "interval")
+
+
+@pytest.mark.parametrize("tail, message", [
+    (b"\xff", "not a UTF-8 text file"),
+    (b"1" * (csv.field_size_limit() + 1) + b",1.0\n", "line 1003: field larger than field limit"),
+], ids=["not-utf8", "oversized-field"])
+def test_read_grid_csv_names_a_stream_error_before_a_bad_row(tmp_path, tail, message):
+    # the stream error sits past the first 8 KiB the text decoder reads
+    rows = ["0.1,abc"] + _grid_rows(1000)
+    path = tmp_path / "late.csv"
+    path.write_bytes(("x,value\n" + "\n".join(rows) + "\n").encode() + tail)
+    with pytest.raises(InvalidInputError) as got:
+        read_grid_csv(path, "interval")
+    assert str(got.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("x0, x1", [(0.0, 1e308), (-1e308, 1e308)], ids=["times-n", "difference"])
+def test_read_grid_csv_names_an_overflowing_circle_step_without_a_warning(tmp_path, x0, x1):
+    path = tmp_path / "wide.csv"
+    path.write_text("x,value\n" + "\n".join([f"{x0!r},1.0", f"{x1!r},1.0"] + ["1.0,1.0"] * 30) + "\n")
+    with pytest.raises(InvalidInputError) as got, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        read_grid_csv(path, "circle")
+    assert caught == []
+    assert str(got.value) == "circle circumference must be positive and finite"
+
+
+#: Bytes that move the parse between the bulk and the csv path.
+_MUTATION_BYTES = [b"\r", b"\n", b"\r\n", b",", b'"', b" ", b"\x0c", b"\x1c", b"\x00", b"_",
+                   b"e", b"-", b".", b"7", b"\xff", "\u2028".encode(), "\u0661".encode(),
+                   b"\xef\xbb\xbf", b"nan", b"1e309", b""]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 2),
+                                st.sampled_from(_MUTATION_BYTES)), min_size=1, max_size=4))
+def test_read_grid_csv_matches_the_row_reader_on_mutated_bytes(tmp_path, edits):
+    data = bytearray(("x,value\n" + "\n".join(_grid_rows()) + "\n").encode())
+    for where, span, text in edits:
+        at = int(where * len(data))
+        data[at:at + span] = text
+    path = tmp_path / "mutated.csv"
+    path.write_bytes(data)
+    try:
+        want = _read_grid_csv_by_row(path, "interval")
+    except UnicodeDecodeError:
+        want = f"{path}: not a UTF-8 text file"
+    except InvalidInputError as exc:
+        want = str(exc)
+    try:
+        got = read_grid_csv(path, "interval")
+    except InvalidInputError as exc:
+        got = str(exc)
+    if isinstance(want, str):
+        assert got == want
+    elif isinstance(got, str):  # the reference reader does not check the x column
+        assert got == f"{path}: x column is not the uniform interval grid"
+    else:
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.domain == want.domain
+
+
+def test_read_grid_csv_parses_clean_files_without_the_csv_module(tmp_path, monkeypatch):
+    def no_csv_reader(*args, **kwargs):
+        raise AssertionError("a well-formed grid CSV went through csv.reader")
+
+    interval = sample_family(Family.RANDOM_TRIG, [3, 8], UNIT_INTERVAL, 4097)
+    write_grid_csv(interval, tmp_path / "interval.csv")
+    circle = from_callable(Circle(1.0), 8192, lambda x: 2.0 + np.sin(2 * math.pi * x))
+    rows = (f'"{x!r}","{v!r}"' for x, v in zip(circle.x.tolist(), circle.values.tolist()))
+    (tmp_path / "circle.csv").write_text('"x","value"\r\n' + "\r\n".join(rows) + "\r\n")
+    monkeypatch.setattr(function_space.csv, "reader", no_csv_reader)
+    for f, kind in ((interval, "interval"), (circle, "circle")):
+        back = read_grid_csv(tmp_path / f"{kind}.csv", kind)
+        assert back.values.tobytes() == f.values.tobytes()
+        assert back.domain == f.domain
+
+
+@pytest.mark.parametrize("tail", ["", "\n\n", "\nbad,row\n"],
+                         ids=["clean", "blank-rows", "bad-row-past-the-cap"])
+def test_read_grid_csv_caps_the_data_rows(tmp_path, monkeypatch, tail):
+    monkeypatch.setattr(function_space, "MAX_SAMPLES", 64)
+    path = tmp_path / "grid.csv"
+    path.write_text("x,value\n" + "\n".join(_grid_rows(64)) + "\n")
+    assert read_grid_csv(path, "interval").n == 64
+    # the bulk parse takes the clean file; blank rows, or a bad row past
+    # row 65 that neither parse converts, send it to the csv module
+    path.write_text("x,value\n" + "\n".join(_grid_rows(65)) + "\n" + tail)
+    with pytest.raises(InvalidInputError) as got:
+        read_grid_csv(path, "interval")
+    assert str(got.value) == f"{path}: more than 64 rows"
 
 
 def test_fourier_json_round_trip(tmp_path):
