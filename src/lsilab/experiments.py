@@ -23,6 +23,9 @@ from .function_space import (
     GridFunction,
     Interval,
     UNIT_INTERVAL,
+    _check_eps,
+    _cos_pi_x,
+    _sharpness_values,
     differentiate,
     fourier_from_dict,
     from_fourier,
@@ -37,11 +40,13 @@ from .function_space import (
 from .functionals import (
     FOUR_PI_SQUARED,
     PI_SQUARED,
+    _check_nonnegative,
     _check_q,
+    _diaz_deficits,
+    _entropy_integral,
+    _finite,
     _entropy_integrand,
-    diaz_deficit,
     dirichlet_energy,
-    entropy,
     squared_mass,
 )
 
@@ -78,18 +83,30 @@ def sharpness_sweep(eps_list: Sequence[float], n: int) -> list[SweepRecord]:
 
     Records are sorted by epsilon, descending. The ratio
     energy/entropy approaches pi^2 from above as epsilon decreases.
+
+    Every epsilon is checked before any grid work. The members share one
+    evaluation of cos(pi x) and one weight vector; each is built from it
+    as ``sample_family(Family.SHARPNESS, [eps], UNIT_INTERVAL, n)``
+    builds it, so the records are bit for bit those of per-epsilon
+    sampling, :func:`dirichlet_energy` and :func:`entropy`.
     """
     if n < 2049:
         raise ParamOutOfRangeError(f"sweep needs n >= 2049, got {n}")
-    records = []
-    for eps in sorted(eps_list, reverse=True):
-        f = sample_family(Family.SHARPNESS, [eps], UNIT_INTERVAL, n)
-        energy = dirichlet_energy(f)
-        ent = entropy(f)
-        records.append(
-            SweepRecord(eps, energy, ent, energy / ent, energy - PI_SQUARED * ent)
-        )
-    return records
+    eps_list = sorted(eps_list, reverse=True)
+    for eps in eps_list:
+        _check_eps(eps)
+    cos_pi_x = _cos_pi_x(UNIT_INTERVAL, n)
+    w = quadrature_weights(UNIT_INTERVAL, n)
+    return [_sweep_record(eps, cos_pi_x, w) for eps in eps_list]
+
+
+def _sweep_record(eps: float, cos_pi_x: np.ndarray, w: np.ndarray) -> SweepRecord:
+    """One sweep member from the shared cos(pi x) and weights; its arrays die here."""
+    f = GridFunction(UNIT_INTERVAL, _sharpness_values(eps, cos_pi_x))
+    ent = _entropy_integral(f.values, w, f.values * f.values)
+    d = differentiate(f).values
+    energy = _finite(w @ (d * d), "Dirichlet energy")
+    return SweepRecord(eps, energy, ent, energy / ent, energy - PI_SQUARED * ent)
 
 
 def extrapolate_constant(records: Sequence[SweepRecord]) -> float:
@@ -411,7 +428,10 @@ def diaz_probe(
     """Evaluate the power-mean deficit over random positive functions.
 
     The same trial functions are used for every exponent, so the report
-    is bit-reproducible for a fixed seed.
+    is bit-reproducible for a fixed seed. Each trial is differentiated
+    once and all trials share one weight vector; the deficit for each q
+    is evaluated as in :func:`diaz_deficit`, so every minimum equals the
+    one per-exponent calls give.
     """
     if trials < 1:
         raise ParamOutOfRangeError(f"need trials >= 1, got {trials}")
@@ -424,10 +444,15 @@ def diaz_probe(
                 UNIT_INTERVAL, modes, seed + t, n, normalize=False
             )
         )
+    w = quadrature_weights(UNIT_INTERVAL, n)
+    by_trial = [
+        _diaz_deficits(_check_nonnegative(f.values), differentiate(f).values, w, q_list)
+        for f in functions
+    ]
     results = []
     counterexamples = []
-    for q in q_list:
-        deficits = [diaz_deficit(f, q) for f in functions]
+    for i, q in enumerate(q_list):
+        deficits = [row[i] for row in by_trial]
         argmin = int(np.argmin(deficits))
         min_deficit = deficits[argmin]
         flagged = min_deficit < DIAZ_FLAG_TOL

@@ -108,7 +108,9 @@ def grid_points(domain: Domain, n: int) -> np.ndarray:
     """Sample abscissae of the uniform grid with n points."""
     if isinstance(domain, Interval):
         return np.linspace(domain.a, domain.b, n)
-    return np.arange(n) * (domain.circumference / n)
+    x = np.arange(n, dtype=float)  # exact: n <= MAX_SAMPLES
+    x *= domain.circumference / n
+    return x
 
 
 @dataclass(frozen=True)
@@ -218,8 +220,12 @@ def differentiate(f: GridFunction) -> GridFunction:
 
     h = (f.domain.b - f.domain.a) / (f.n - 1)
     d = np.empty_like(v)
-    # interior: (f[i-2] - 8 f[i-1] + 8 f[i+1] - f[i+2]) / 12h
-    d[2:-2] = (8.0 * (v[3:-1] - v[1:-3]) - (v[4:] - v[:-4])) / (12.0 * h)
+    # interior: (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / 12h, in place
+    inner = d[2:-2]
+    np.subtract(v[3:-1], v[1:-3], out=inner)
+    inner *= 8.0
+    inner -= v[4:] - v[:-4]
+    inner /= 12.0 * h
     d[0], d[1] = _closure_stencils(v, h)
     right_end, right_next = _closure_stencils(v[::-1], h)
     d[-1], d[-2] = -right_end, -right_next
@@ -416,7 +422,6 @@ def sample_family(
     except ValueError:
         raise UnknownFamilyError(f"unknown family {family!r}") from None
     params = list(params)
-    x = grid_points(domain, n)
 
     if family is Family.CONSTANT:
         (c,) = _family_params(family, params, 1)
@@ -429,21 +434,23 @@ def sample_family(
         mode = int(k)
         if mode != k or mode < 1:
             raise ParamOutOfRangeError("cosine mode index must be an integer >= 1")
-        u = (x - domain.a) / domain.length if isinstance(domain, Interval) else x / domain.length
-        freq = math.pi * mode if isinstance(domain, Interval) else 2.0 * math.pi * mode
-        return GridFunction(domain, np.cos(freq * u))
+        u = _unit_coordinate(domain, n)
+        u *= math.pi * mode if isinstance(domain, Interval) else 2.0 * math.pi * mode
+        return GridFunction(domain, np.cos(u, out=u))
 
     if family is Family.SHARPNESS:
         (eps,) = _family_params(family, params, 1)
         _check_eps(eps)
         _require_unit_interval(domain, family)
-        return GridFunction(domain, math.sqrt(1.0 - eps * eps) + math.sqrt(2.0) * eps * np.cos(math.pi * x))
+        return GridFunction(domain, _sharpness_values(eps, _cos_pi_x(domain, n)))
 
     if family is Family.WANG:
         (eps,) = _family_params(family, params, 1)
         _check_eps(eps)
         _require_unit_interval(domain, family)
-        return GridFunction(domain, np.exp(-eps * np.cos(math.pi * x)))
+        values = _cos_pi_x(domain, n)
+        values *= -eps
+        return GridFunction(domain, np.exp(values, out=values))
 
     # RANDOM_TRIG
     seed, modes = _family_params(family, params, 2)
@@ -453,7 +460,7 @@ def sample_family(
     if modes_i != modes or modes_i < 1:
         raise ParamOutOfRangeError("mode count must be an integer >= 1")
     rng = np.random.default_rng(seed_i)
-    u = (x - domain.a) / domain.length if isinstance(domain, Interval) else x / domain.length
+    u = _unit_coordinate(domain, n)
     values = np.full(n, rng.standard_normal())
     if isinstance(domain, Interval):
         # Cosine-only series: derivative vanishes at both endpoints, which
@@ -465,6 +472,26 @@ def sample_family(
             a, b = rng.standard_normal(2)
             values += (a * np.cos(2.0 * math.pi * k * u) + b * np.sin(2.0 * math.pi * k * u)) / k**2
     return GridFunction(domain, values)
+
+
+def _cos_pi_x(domain: Domain, n: int) -> np.ndarray:
+    """cos(pi x) on the grid of ``domain``, evaluated in one array."""
+    values = math.pi * grid_points(domain, n)
+    return np.cos(values, out=values)
+
+
+def _sharpness_values(eps: float, cos_pi_x: np.ndarray) -> np.ndarray:
+    """The SHARPNESS member sqrt(1 - eps^2) + sqrt(2) eps cos(pi x), from cos(pi x)."""
+    return math.sqrt(1.0 - eps * eps) + math.sqrt(2.0) * eps * cos_pi_x
+
+
+def _unit_coordinate(domain: Domain, n: int) -> np.ndarray:
+    """The grid mapped onto [0, 1]: (x - a) / L on intervals, x / L on circles."""
+    u = grid_points(domain, n)
+    if isinstance(domain, Interval):
+        u -= domain.a
+    u /= domain.length
+    return u
 
 
 def _family_params(family: Family, params: list[float], count: int) -> list[float]:
@@ -523,17 +550,20 @@ def read_grid_csv(path: str | Path, kind: str) -> GridFunction:
     if n < MIN_SAMPLES:
         raise InvalidInputError(f"{path}: need at least {MIN_SAMPLES} rows, got {n}")
     x, values = samples[:, 0], samples[:, 1]
-    if kind == "interval":
-        domain: Domain = Interval(x[0], x[-1])
-    else:
-        step = float(x[1]) - float(x[0])  # Python floats overflow to inf without a warning
-        if step <= 0:
-            raise InvalidInputError(f"{path}: x column must be increasing")
-        domain = Circle(step * n)
-    expected = grid_points(domain, n)
-    if not np.allclose(x, expected, rtol=0.0, atol=1e-9 * max(1.0, domain.length)):
-        raise InvalidInputError(f"{path}: x column is not the uniform {kind} grid")
-    return GridFunction(domain, values)
+    try:
+        if kind == "interval":
+            domain: Domain = Interval(x[0], x[-1])
+        else:
+            step = float(x[1]) - float(x[0])  # Python floats overflow to inf without a warning
+            if step <= 0:
+                raise InvalidInputError("x column must be increasing")
+            domain = Circle(step * n)
+        expected = grid_points(domain, n)
+        if not np.allclose(x, expected, rtol=0.0, atol=1e-9 * max(1.0, domain.length)):
+            raise InvalidInputError(f"x column is not the uniform {kind} grid")
+        return GridFunction(domain, values)
+    except InvalidInputError as exc:  # the domain's and the samples' own checks name no file
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 #: Characters of whole lines that the bulk parse reads at a time.

@@ -72,8 +72,7 @@ def reflect_to_circle(f: GridFunction) -> tuple[GridFunction, TransformCertifica
     if f.n % 2 == 0:
         raise EvenSampleCountError(f"need an odd sample count, got {f.n}")
     # g[j] = f[j] for j <= N-1, g[j] = f[2(N-1)-j] beyond the fold
-    folded = np.concatenate([f.values, f.values[-2:0:-1]])
-    g = GridFunction(Circle(1.0), folded)
+    g = GridFunction(Circle(1.0), np.concatenate([f.values, f.values[-2:0:-1]]))
     rep_in = _log_sobolev_report(f)
     rep_out = _log_sobolev_report(g)
     residuals = {

@@ -613,7 +613,8 @@ def _series_json(*entries):
     (_series_json(("1" * 5000, "1.0")), "invalid JSON: Exceeds the limit"),
     (_series_json(("9" * 4300, "1.0")), "mode index 9999999999"),
     (_series_json(("0", "1" * 400)), "malformed Fourier series payload: int too large"),
-])
+], ids=["not-utf8", "infinite-index", "deep-nesting", "fractional-index", "duplicate-index",
+        "5000-digit-index", "4300-digit-index", "400-digit-real"])
 def test_hostile_fourier_json_exits_one_with_one_line(tmp_path, capsys, payload, message):
     path = tmp_path / "series.json"
     path.write_bytes(payload)

@@ -447,8 +447,11 @@ def _read_grid_csv_by_row(path, kind):
     if len(xs) < 16:
         raise InvalidInputError(f"{path}: need at least 16 rows, got {len(xs)}")
     x = np.asarray(xs)
-    domain = Interval(x[0], x[-1]) if kind == "interval" else Circle((x[1] - x[0]) * x.size)
-    return GridFunction(domain, np.asarray(vs))
+    try:
+        domain = Interval(x[0], x[-1]) if kind == "interval" else Circle((x[1] - x[0]) * x.size)
+        return GridFunction(domain, np.asarray(vs))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def _grid_rows(n=32):
@@ -536,14 +539,14 @@ def test_read_grid_csv_rejects_like_the_row_reader(tmp_path, case):
         read_grid_csv(path, "interval")
     assert caught == []
     assert str(got.value) == str(want.value)
-    assert str(got.value).removeprefix(f"{path}: ") == message  # GridFunction's checks name no path
+    assert str(got.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("data", [
     bytes(range(256)) * 8,
     "x,value\n0.0,1.0\n".encode("utf-16"),
     "x,value\n0.0,caf\u00e9\n".encode("latin-1"),
-])
+], ids=["all-bytes", "utf-16", "latin-1"])
 def test_read_grid_csv_rejects_non_utf8_bytes(tmp_path, data):
     path = tmp_path / "binary.csv"
     path.write_bytes(data)
@@ -594,7 +597,7 @@ def test_read_grid_csv_names_an_overflowing_circle_step_without_a_warning(tmp_pa
         warnings.simplefilter("always")
         read_grid_csv(path, "circle")
     assert caught == []
-    assert str(got.value) == "circle circumference must be positive and finite"
+    assert str(got.value) == f"{path}: circle circumference must be positive and finite"
 
 
 #: Bytes that move the parse between the bulk and the csv path.
