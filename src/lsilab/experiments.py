@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParamOutOfRangeError
 from .function_space import (
+    MAX_SAMPLES,
     Domain,
     Family,
     GridFunction,
@@ -102,7 +103,7 @@ def sharpness_sweep(eps_list: Sequence[float], n: int) -> list[SweepRecord]:
 
 def _sweep_record(eps: float, cos_pi_x: np.ndarray, w: np.ndarray) -> SweepRecord:
     """One sweep member from the shared cos(pi x) and weights; its arrays die here."""
-    f = GridFunction(UNIT_INTERVAL, _sharpness_values(eps, cos_pi_x))
+    f = GridFunction._adopt(UNIT_INTERVAL, _sharpness_values(eps, cos_pi_x))
     ent = _entropy_integral(f.values, w, f.values * f.values)
     d = differentiate(f).values
     energy = _finite(w @ (d * d), "Dirichlet energy")
@@ -226,7 +227,7 @@ def synthesize_coefficients(domain: Domain, coefficients: Sequence[float], n: in
     """Grid samples of |c_0 + sum c_k basis_k| for the optimizer basis."""
     coefficients = np.asarray(coefficients, dtype=float)
     basis, _ = _basis_matrices(domain, coefficients.size, n)
-    return GridFunction(domain, np.abs(basis @ coefficients))
+    return GridFunction._adopt(domain, np.abs(basis @ coefficients))
 
 
 def minimize_deficit(
@@ -251,7 +252,9 @@ def minimize_deficit(
     sharp constants make ``best_ratio`` approach pi^2 (interval) or
     4 pi^2 (circle) from above. That needs a grid that resolves the
     basis, 2 * n_modes <= n: on a coarser grid the modes alias and the
-    deficit can read below zero.
+    deficit can read below zero. Each of the basis matrices holds
+    n * n_modes floats; more than MAX_SAMPLES raises ParamOutOfRangeError
+    before anything is allocated.
     """
     if n_modes < 2:
         raise ParamOutOfRangeError(f"need n_modes >= 2, got {n_modes}")
@@ -269,6 +272,11 @@ def minimize_deficit(
         raise ParamOutOfRangeError("domain must be [0, 1] or the unit circle")
     if 2 * n_modes > n:
         raise ParamOutOfRangeError(f"{n_modes} modes need N >= {2 * n_modes}, got {n}")
+    if n * n_modes > MAX_SAMPLES:  # each basis matrix holds n * n_modes floats
+        raise ParamOutOfRangeError(
+            f"a basis of {n_modes} modes on {n} samples has {n * n_modes} entries, "
+            f"more than {MAX_SAMPLES}"
+        )
 
     basis, deriv = _basis_matrices(domain, n_modes, n)
     w = quadrature_weights(domain, n)
@@ -410,10 +418,11 @@ def random_admissible_function(
     """Random trigonometric polynomial shifted so its minimum is
     ADMISSIBLE_SHIFT and, optionally, normalized to unit squared mass."""
     raw = sample_family(Family.RANDOM_TRIG, [seed, modes], domain, n)
-    values = raw.values - float(np.min(raw.values)) + ADMISSIBLE_SHIFT
-    f = GridFunction(domain, values)
+    values = raw.values - float(np.min(raw.values))
+    values += ADMISSIBLE_SHIFT
+    f = GridFunction._adopt(domain, values)
     if normalize:
-        f = GridFunction(domain, values / math.sqrt(squared_mass(f)))
+        f = GridFunction._adopt(domain, values / math.sqrt(squared_mass(f)))
     return f
 
 
@@ -431,24 +440,25 @@ def diaz_probe(
     is bit-reproducible for a fixed seed. Each trial is differentiated
     once and all trials share one weight vector; the deficit for each q
     is evaluated as in :func:`diaz_deficit`, so every minimum equals the
-    one per-exponent calls give.
+    one per-exponent calls give. Trials are drawn one at a time, and only
+    the counterexample witnesses are kept.
     """
     if trials < 1:
         raise ParamOutOfRangeError(f"need trials >= 1, got {trials}")
     for q in q_list:  # before any trial is drawn
         _check_q(q)
-    functions = [sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, n)]
-    for t in range(1, trials):
-        functions.append(
-            random_admissible_function(
-                UNIT_INTERVAL, modes, seed + t, n, normalize=False
-            )
-        )
     w = quadrature_weights(UNIT_INTERVAL, n)
-    by_trial = [
-        _diaz_deficits(_check_nonnegative(f.values), differentiate(f).values, w, q_list)
-        for f in functions
-    ]
+    by_trial = []
+    witnesses = {}
+    for t in range(trials):
+        if t == 0:
+            f = sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, n)
+        else:
+            f = random_admissible_function(UNIT_INTERVAL, modes, seed + t, n, normalize=False)
+        row = _diaz_deficits(_check_nonnegative(f.values), differentiate(f).values, w, q_list)
+        if any(deficit < DIAZ_FLAG_TOL for deficit in row):
+            witnesses[t] = f
+        by_trial.append(row)
     results = []
     counterexamples = []
     for i, q in enumerate(q_list):
@@ -459,7 +469,7 @@ def diaz_probe(
         results.append(DiazQResult(q, min_deficit, argmin, flagged))
         for t, deficit in enumerate(deficits):
             if deficit < DIAZ_FLAG_TOL:
-                counterexamples.append((q, t, functions[t]))
+                counterexamples.append((q, t, witnesses[t]))
     return DiazProbeReport(
         seed, trials, n, modes, tuple(results), tuple(counterexamples)
     )
@@ -485,7 +495,7 @@ def mode_quotient(n: int, k: int) -> float:
         raise ParamOutOfRangeError("mode index must be >= 1")
     e = from_fourier(fourier_from_dict(1.0, {k: 0.5, -k: 0.5}), n)
     mean = integrate(e)
-    centered = e.with_values(e.values - mean)
+    centered = GridFunction._adopt(e.domain, e.values - mean)
     return dirichlet_energy(e) / squared_mass(centered)
 
 

@@ -24,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Iterable, NamedTuple, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -113,19 +113,38 @@ def grid_points(domain: Domain, n: int) -> np.ndarray:
     return x
 
 
+class _Fresh(NamedTuple):
+    """An array lsilab has just built and nobody else references."""
+
+    array: np.ndarray
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Real-valued function sampled on the uniform grid of its domain.
 
-    Immutable: the value array is copied on construction and marked
-    read-only, so instances are safe to share across threads.
+    Immutable: the values are checked and marked read-only, so instances
+    are safe to share across threads. A caller's array (or list) is
+    copied on construction, and so is every array passed to
+    :meth:`with_values`. The arrays lsilab builds for a new instance
+    (derivatives, family samples, syntheses, transform outputs) are
+    adopted through :meth:`_adopt` instead: frozen where they are, with
+    no copy, because nothing else holds them.
     """
 
     domain: Domain
     values: np.ndarray
 
+    @classmethod
+    def _adopt(cls, domain: Domain, values: np.ndarray) -> "GridFunction":
+        """A GridFunction that owns ``values``, an array no one else references."""
+        return cls(domain, _Fresh(values))
+
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        if type(self.values) is _Fresh:
+            v = np.asarray(self.values.array, dtype=float)
+        else:
+            v = np.array(self.values, dtype=float)
         if v.ndim != 1:
             raise InvalidInputError("values must be a one-dimensional array")
         if v.size < MIN_SAMPLES:
@@ -216,7 +235,7 @@ def differentiate(f: GridFunction) -> GridFunction:
     v = f.values
     if isinstance(f.domain, Circle):
         d = np.fft.irfft(_derivative_spectrum(f), n=f.n)
-        return GridFunction(f.domain, _finite_derivative(d))
+        return GridFunction._adopt(f.domain, _finite_derivative(d))
 
     h = (f.domain.b - f.domain.a) / (f.n - 1)
     d = np.empty_like(v)
@@ -229,7 +248,7 @@ def differentiate(f: GridFunction) -> GridFunction:
     d[0], d[1] = _closure_stencils(v, h)
     right_end, right_next = _closure_stencils(v[::-1], h)
     d[-1], d[-2] = -right_end, -right_next
-    return GridFunction(f.domain, _finite_derivative(d))
+    return GridFunction._adopt(f.domain, _finite_derivative(d))
 
 
 def _closure_stencils(v: np.ndarray, h: float) -> tuple[float, float]:
@@ -265,12 +284,23 @@ def _finite_derivative(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def _derivative_spectrum(f: GridFunction) -> np.ndarray:
+def _derivative_spectrum(f: GridFunction, real_factor: bool = False) -> np.ndarray:
     """``rfft(v) * 2*pi*i*k/L`` for circle samples v, with the Nyquist bin of an
-    even grid zeroed (its derivative is unrepresentable); overflow raises."""
+    even grid zeroed (its derivative is unrepresentable); overflow raises.
+
+    With ``real_factor`` the factor is the real ``2*pi*k/L``, scaled in the
+    frequency array itself. Every entry keeps its magnitude, which is all
+    the Dirichlet energy reads, and no complex factor array is built. The
+    signs of zeros differ, and those reach the values of :func:`differentiate`.
+    """
     n = f.n
     spectrum = np.fft.rfft(f.values)
-    spectrum *= 2j * np.pi * np.fft.rfftfreq(n, d=f.domain.circumference / n)
+    freq = np.fft.rfftfreq(n, d=f.domain.circumference / n)
+    if real_factor:
+        freq *= 2.0 * np.pi
+        spectrum *= freq
+    else:
+        spectrum *= 2j * np.pi * freq
     if n % 2 == 0:
         spectrum[-1] = 0.0
     return _finite_derivative(spectrum)
@@ -377,7 +407,9 @@ def from_fourier(series: FourierSeries, n: int) -> GridFunction:
             raise NotRealValuedError(
                 f"imaginary residue {residue:.3e} exceeds {IMAG_TOL:.0e}"
             )
-    return GridFunction(Circle(series.circumference), n * np.fft.irfft((c - anti)[n_max:], n))
+    values = np.fft.irfft((c - anti)[n_max:], n)
+    values *= n  # the IEEE product n * irfft, in place
+    return GridFunction._adopt(Circle(series.circumference), values)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +459,7 @@ def sample_family(
         (c,) = _family_params(family, params, 1)
         if not math.isfinite(c):
             raise ParamOutOfRangeError("constant must be finite")
-        return GridFunction(domain, np.full(n, c))
+        return GridFunction._adopt(domain, np.full(n, c))
 
     if family is Family.COSINE_MODE:
         (k,) = _family_params(family, params, 1)
@@ -436,13 +468,13 @@ def sample_family(
             raise ParamOutOfRangeError("cosine mode index must be an integer >= 1")
         u = _unit_coordinate(domain, n)
         u *= math.pi * mode if isinstance(domain, Interval) else 2.0 * math.pi * mode
-        return GridFunction(domain, np.cos(u, out=u))
+        return GridFunction._adopt(domain, np.cos(u, out=u))
 
     if family is Family.SHARPNESS:
         (eps,) = _family_params(family, params, 1)
         _check_eps(eps)
         _require_unit_interval(domain, family)
-        return GridFunction(domain, _sharpness_values(eps, _cos_pi_x(domain, n)))
+        return GridFunction._adopt(domain, _sharpness_values(eps, _cos_pi_x(domain, n)))
 
     if family is Family.WANG:
         (eps,) = _family_params(family, params, 1)
@@ -450,7 +482,7 @@ def sample_family(
         _require_unit_interval(domain, family)
         values = _cos_pi_x(domain, n)
         values *= -eps
-        return GridFunction(domain, np.exp(values, out=values))
+        return GridFunction._adopt(domain, np.exp(values, out=values))
 
     # RANDOM_TRIG
     seed, modes = _family_params(family, params, 2)
@@ -471,7 +503,7 @@ def sample_family(
         for k in range(1, modes_i + 1):
             a, b = rng.standard_normal(2)
             values += (a * np.cos(2.0 * math.pi * k * u) + b * np.sin(2.0 * math.pi * k * u)) / k**2
-    return GridFunction(domain, values)
+    return GridFunction._adopt(domain, values)
 
 
 def _cos_pi_x(domain: Domain, n: int) -> np.ndarray:

@@ -162,9 +162,10 @@ def entropy(f: GridFunction) -> float:
 def dirichlet_energy(f: GridFunction) -> float:
     """integral of (f')^2; on circles the discrete Parseval sum
     ``(2L/N^2) * sum_{k>=1} |D_k|^2`` over the derivative spectrum D of one
-    real FFT, equal to the trapezoid rule on the spectral derivative."""
+    real FFT, equal to the trapezoid rule on the spectral derivative. Only
+    |D_k| matters, so the spectrum is scaled by the real 2*pi*k/L."""
     if isinstance(f.domain, Circle):
-        d = _derivative_spectrum(f)[1:]
+        d = _derivative_spectrum(f, real_factor=True)[1:]
         d /= f.n  # before squaring: |D_k|^2 alone may overflow
         return _finite(2.0 * f.domain.circumference * np.vdot(d, d).real, "Dirichlet energy")
     d = differentiate(f).values

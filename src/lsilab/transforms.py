@@ -72,7 +72,7 @@ def reflect_to_circle(f: GridFunction) -> tuple[GridFunction, TransformCertifica
     if f.n % 2 == 0:
         raise EvenSampleCountError(f"need an odd sample count, got {f.n}")
     # g[j] = f[j] for j <= N-1, g[j] = f[2(N-1)-j] beyond the fold
-    g = GridFunction(Circle(1.0), np.concatenate([f.values, f.values[-2:0:-1]]))
+    g = GridFunction._adopt(Circle(1.0), np.concatenate([f.values, f.values[-2:0:-1]]))
     rep_in = _log_sobolev_report(f)
     rep_out = _log_sobolev_report(g)
     residuals = {
@@ -97,7 +97,7 @@ def affine_normalize(f: GridFunction) -> tuple[GridFunction, float, TransformCer
     length = f.domain.length
     rep_in = lsi_deficit_general(f)
     m = math.sqrt(rep_in.mass / length)
-    g = GridFunction(UNIT_INTERVAL, f.values / m)
+    g = GridFunction._adopt(UNIT_INTERVAL, f.values / m)
     rep_out = lsi_deficit_general(g)
     scale = length / (m * m)
     entropy_identity = (rep_in.entropy - length * m * m * math.log(m)) / (length * m * m)
@@ -118,7 +118,7 @@ def sqrt_lift(f: GridFunction) -> tuple[GridFunction, TransformCertificate]:
     ``integral g^2 log g = (1/2) integral f log f``.
     """
     rep_in = _fisher_report(f)
-    g = f.with_values(np.sqrt(f.values))
+    g = GridFunction._adopt(f.domain, np.sqrt(f.values))
     rep_out = _log_sobolev_report(g)
     residuals = {
         "fisher_chain_rule": abs(4.0 * rep_out.energy - rep_in.energy),

@@ -1,0 +1,42 @@
+"""Run one ``lsilab`` command line in a child process with a capped address space.
+
+A size check that regresses then fails its test with a MemoryError in the
+child instead of exhausting the machine that runs the suite. The limit is
+set with ``resource.setrlimit(RLIMIT_AS)`` in the child only, between fork
+and exec; an lsilab process needs about 140 MiB of address space.
+"""
+
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import lsilab
+
+#: Address-space limit of the child, in bytes.
+ADDRESS_SPACE_LIMIT = 1 << 30
+
+
+def run_cli_limited(
+    argv: list[str], cwd: Path, limit: int = ADDRESS_SPACE_LIMIT
+) -> subprocess.CompletedProcess:
+    """``python -m lsilab.cli *argv`` in ``cwd``, with at most ``limit`` bytes of address space."""
+    # The child runs in cwd, where a relative PYTHONPATH entry such as
+    # "src" resolves to nothing; point it at the package imported here.
+    src_root = str(Path(lsilab.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")])),
+        # one BLAS thread: the address space OpenBLAS reserves grows with the thread count
+        "OPENBLAS_NUM_THREADS": "1",
+    }
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "lsilab.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=cap_address_space,
+    )
