@@ -44,10 +44,9 @@ from .functionals import (
     _check_nonnegative,
     _check_q,
     _diaz_deficits,
-    _entropy_integral,
-    _finite,
     _entropy_integrand,
     dirichlet_energy,
+    entropy,
     squared_mass,
 )
 
@@ -85,11 +84,9 @@ def sharpness_sweep(eps_list: Sequence[float], n: int) -> list[SweepRecord]:
     Records are sorted by epsilon, descending. The ratio
     energy/entropy approaches pi^2 from above as epsilon decreases.
 
-    Every epsilon is checked before any grid work. The members share one
-    evaluation of cos(pi x) and one weight vector; each is built from it
-    as ``sample_family(Family.SHARPNESS, [eps], UNIT_INTERVAL, n)``
-    builds it, so the records are bit for bit those of per-epsilon
-    sampling, :func:`dirichlet_energy` and :func:`entropy`.
+    Every epsilon is checked before any grid work. Each record equals, bit
+    for bit, :func:`dirichlet_energy` and :func:`entropy` of
+    ``sample_family(Family.SHARPNESS, [eps], UNIT_INTERVAL, n)``.
     """
     if n < 2049:
         raise ParamOutOfRangeError(f"sweep needs n >= 2049, got {n}")
@@ -104,9 +101,7 @@ def sharpness_sweep(eps_list: Sequence[float], n: int) -> list[SweepRecord]:
 def _sweep_record(eps: float, cos_pi_x: np.ndarray, w: np.ndarray) -> SweepRecord:
     """One sweep member from the shared cos(pi x) and weights; its arrays die here."""
     f = GridFunction._adopt(UNIT_INTERVAL, _sharpness_values(eps, cos_pi_x))
-    ent = _entropy_integral(f.values, w, f.values * f.values)
-    d = differentiate(f).values
-    energy = _finite(w @ (d * d), "Dirichlet energy")
+    ent, energy = entropy(f, w), dirichlet_energy(f, w)
     return SweepRecord(eps, energy, ent, energy / ent, energy - PI_SQUARED * ent)
 
 
@@ -437,11 +432,9 @@ def diaz_probe(
     """Evaluate the power-mean deficit over random positive functions.
 
     The same trial functions are used for every exponent, so the report
-    is bit-reproducible for a fixed seed. Each trial is differentiated
-    once and all trials share one weight vector; the deficit for each q
-    is evaluated as in :func:`diaz_deficit`, so every minimum equals the
-    one per-exponent calls give. Trials are drawn one at a time, and only
-    the counterexample witnesses are kept.
+    is bit-reproducible for a fixed seed, and every minimum equals the one
+    per-exponent :func:`diaz_deficit` calls give. Only the counterexample
+    witnesses are kept.
     """
     if trials < 1:
         raise ParamOutOfRangeError(f"need trials >= 1, got {trials}")

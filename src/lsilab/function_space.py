@@ -49,6 +49,12 @@ IMAG_TOL = 1e-10
 #: Tolerance used when an operation requires a specific domain geometry.
 GEOM_TOL = 1e-12
 
+#: What a derivative of finite samples that overflows float64 raises.
+DERIVATIVE_OVERFLOW = "derivative overflows float64; rescale the input"
+
+#: Nodes per block of the blocked quadrature sums (64 KiB of float64).
+BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -114,9 +120,10 @@ def grid_points(domain: Domain, n: int) -> np.ndarray:
 
 
 class _Fresh(NamedTuple):
-    """An array lsilab has just built and nobody else references."""
+    """An array lsilab has just built that nobody else references, and what a NaN or inf raises."""
 
     array: np.ndarray
+    nonfinite: str = "all sampled values must be finite"
 
 
 @dataclass(frozen=True)
@@ -127,9 +134,9 @@ class GridFunction:
     are safe to share across threads. A caller's array (or list) is
     copied on construction, and so is every array passed to
     :meth:`with_values`. The arrays lsilab builds for a new instance
-    (derivatives, family samples, syntheses, transform outputs) are
-    adopted through :meth:`_adopt` instead: frozen where they are, with
-    no copy, because nothing else holds them.
+    (derivatives, family samples, syntheses, transform outputs) arrive
+    wrapped in ``_Fresh`` and are adopted instead: frozen where they are,
+    with no copy, because nothing else holds them.
     """
 
     domain: Domain
@@ -141,10 +148,8 @@ class GridFunction:
         return cls(domain, _Fresh(values))
 
     def __post_init__(self):
-        if type(self.values) is _Fresh:
-            v = np.asarray(self.values.array, dtype=float)
-        else:
-            v = np.array(self.values, dtype=float)
+        fresh = self.values if type(self.values) is _Fresh else _Fresh(np.array(self.values, float))
+        v = np.asarray(fresh.array, dtype=float)
         if v.ndim != 1:
             raise InvalidInputError("values must be a one-dimensional array")
         if v.size < MIN_SAMPLES:
@@ -152,7 +157,7 @@ class GridFunction:
                 f"need at least {MIN_SAMPLES} samples, got {v.size}"
             )
         if not np.all(np.isfinite(v)):
-            raise InvalidInputError("all sampled values must be finite")
+            raise InvalidInputError(fresh.nonfinite)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -182,7 +187,7 @@ def from_callable(domain: Domain, n: int, fn) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 def quadrature_weights(domain: Domain, n: int) -> np.ndarray:
-    """Weights w such that w @ f.values realizes integrate(f).
+    """Weights w of the rule :func:`integrate` applies: w @ f.values is its integral up to rounding.
 
     Circle: the periodic trapezoid rule (spectrally accurate on smooth
     periodic integrands). Interval: composite Simpson, fourth order on
@@ -191,22 +196,33 @@ def quadrature_weights(domain: Domain, n: int) -> np.ndarray:
     """
     if isinstance(domain, Circle):
         return np.full(n, domain.circumference / n)
+    return _simpson_weights(domain, n, 0, n)
+
+
+def _simpson_weights(domain: Interval, n: int, lo: int, hi: int) -> np.ndarray:
+    """Entries lo, ..., hi - 1 of the interval's :func:`quadrature_weights`."""
     h = (domain.b - domain.a) / (n - 1)
-    w = np.zeros(n)
-    head = n if n % 2 == 1 else n - 3  # odd-point Simpson portion
-    w[0] = 1.0
-    w[head - 1] += 1.0
-    w[1:head - 1:2] = 4.0
-    w[2:head - 1:2] = 2.0
-    w *= h / 3.0
-    if head != n:
-        w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
+    head, third = (n if n % 2 == 1 else n - 3), h / 3.0  # head: the odd-point Simpson portion
+    w = np.full(hi - lo, 2.0 * third)
+    w[(lo + 1) % 2::2] = 4.0 * third
+    w[[j - lo for j in (0, head - 1) if lo <= j < hi]] = third
+    w[max(head - lo, 0):] = 0.0
+    for j in range(max(lo, n - 4), hi) if head != n else ():  # the 3/8 rule's nodes
+        w[j - lo] += (1.0, 3.0, 3.0, 1.0)[j - (n - 4)] * (3.0 * h / 8.0)
     return w
 
 
 def integrate(f: GridFunction) -> float:
     """Integral of f over its domain (trapezoid on circles, Simpson on intervals)."""
-    return float(quadrature_weights(f.domain, f.n) @ f.values)
+    return _integral(f.domain, f.values)
+
+
+def _integral(domain: Domain, x: np.ndarray, w: np.ndarray | None = None) -> float:
+    """``w @ x`` with the Simpson weights w (built if None), or ``sum((L/n) * x)`` by blocks."""
+    if isinstance(domain, Circle):
+        step = domain.circumference / x.size
+        return sum(float(np.sum(x[lo:lo + BLOCK] * step)) for lo in range(0, x.size, BLOCK))
+    return float((quadrature_weights(domain, x.size) if w is None else w) @ x)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +250,11 @@ def differentiate(f: GridFunction) -> GridFunction:
     """
     v = f.values
     if isinstance(f.domain, Circle):
-        d = np.fft.irfft(_derivative_spectrum(f), n=f.n)
-        return GridFunction._adopt(f.domain, _finite_derivative(d))
+        spectrum = np.fft.rfft(v)
+        spectrum *= 2j * np.pi * np.fft.rfftfreq(f.n, d=f.domain.circumference / f.n)
+        if f.n % 2 == 0:
+            spectrum[-1] = 0.0  # the Nyquist mode's derivative is unrepresentable
+        return GridFunction(f.domain, _Fresh(np.fft.irfft(spectrum, n=f.n), DERIVATIVE_OVERFLOW))
 
     h = (f.domain.b - f.domain.a) / (f.n - 1)
     d = np.empty_like(v)
@@ -248,7 +267,7 @@ def differentiate(f: GridFunction) -> GridFunction:
     d[0], d[1] = _closure_stencils(v, h)
     right_end, right_next = _closure_stencils(v[::-1], h)
     d[-1], d[-2] = -right_end, -right_next
-    return GridFunction._adopt(f.domain, _finite_derivative(d))
+    return GridFunction(f.domain, _Fresh(d, DERIVATIVE_OVERFLOW))
 
 
 def _closure_stencils(v: np.ndarray, h: float) -> tuple[float, float]:
@@ -275,35 +294,6 @@ def _closure_stencils(v: np.ndarray, h: float) -> tuple[float, float]:
         + 1.0 / 12.0 * (v[6] - v[1])
     ) / h
     return d0, d1
-
-
-def _finite_derivative(d: np.ndarray) -> np.ndarray:
-    """``d``, unless an entry is not finite: then the derivative overflowed."""
-    if not np.all(np.isfinite(d)):
-        raise InvalidInputError("derivative overflows float64; rescale the input")
-    return d
-
-
-def _derivative_spectrum(f: GridFunction, real_factor: bool = False) -> np.ndarray:
-    """``rfft(v) * 2*pi*i*k/L`` for circle samples v, with the Nyquist bin of an
-    even grid zeroed (its derivative is unrepresentable); overflow raises.
-
-    With ``real_factor`` the factor is the real ``2*pi*k/L``, scaled in the
-    frequency array itself. Every entry keeps its magnitude, which is all
-    the Dirichlet energy reads, and no complex factor array is built. The
-    signs of zeros differ, and those reach the values of :func:`differentiate`.
-    """
-    n = f.n
-    spectrum = np.fft.rfft(f.values)
-    freq = np.fft.rfftfreq(n, d=f.domain.circumference / n)
-    if real_factor:
-        freq *= 2.0 * np.pi
-        spectrum *= freq
-    else:
-        spectrum *= 2j * np.pi * freq
-    if n % 2 == 0:
-        spectrum[-1] = 0.0
-    return _finite_derivative(spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +464,8 @@ def sample_family(
         (eps,) = _family_params(family, params, 1)
         _check_eps(eps)
         _require_unit_interval(domain, family)
-        return GridFunction._adopt(domain, _sharpness_values(eps, _cos_pi_x(domain, n)))
+        cos_pi_x = _cos_pi_x(domain, n)
+        return GridFunction._adopt(domain, _sharpness_values(eps, cos_pi_x, out=cos_pi_x))
 
     if family is Family.WANG:
         (eps,) = _family_params(family, params, 1)
@@ -508,13 +499,15 @@ def sample_family(
 
 def _cos_pi_x(domain: Domain, n: int) -> np.ndarray:
     """cos(pi x) on the grid of ``domain``, evaluated in one array."""
-    values = math.pi * grid_points(domain, n)
-    return np.cos(values, out=values)
+    values = grid_points(domain, n)
+    return np.cos(np.multiply(values, math.pi, out=values), out=values)
 
 
-def _sharpness_values(eps: float, cos_pi_x: np.ndarray) -> np.ndarray:
-    """The SHARPNESS member sqrt(1 - eps^2) + sqrt(2) eps cos(pi x), from cos(pi x)."""
-    return math.sqrt(1.0 - eps * eps) + math.sqrt(2.0) * eps * cos_pi_x
+def _sharpness_values(eps: float, cos_pi_x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(1 - eps^2) + sqrt(2) eps cos(pi x) from cos(pi x), in ``out`` or a new array."""
+    values = np.multiply(cos_pi_x, math.sqrt(2.0) * eps, out=out)
+    values += math.sqrt(1.0 - eps * eps)
+    return values
 
 
 def _unit_coordinate(domain: Domain, n: int) -> np.ndarray:

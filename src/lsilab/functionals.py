@@ -50,11 +50,14 @@ from .errors import (
     ZeroMassError,
 )
 from .function_space import (
+    BLOCK,
+    DERIVATIVE_OVERFLOW,
     Circle,
     FourierSeries,
     GridFunction,
     Interval,
-    _derivative_spectrum,
+    _integral,
+    _simpson_weights,
     differentiate,
     is_unit_circle,
     is_unit_interval,
@@ -116,14 +119,17 @@ def _entropy_integrand(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_nonnegative(values: np.ndarray) -> np.ndarray:
-    """The values with entries in [-NEGATIVE_TOL, 0) clamped to 0; no copy if none are."""
-    low = float(np.min(values))
+def _check_low(low: float) -> float:
+    """``low``, a minimum; below -NEGATIVE_TOL it raises NegativeFunctionError."""
     if low < -NEGATIVE_TOL:
         raise NegativeFunctionError(f"minimum value {low:.3e} is below -{NEGATIVE_TOL:.0e}")
-    if low >= 0.0:
-        return values
-    return np.clip(values, 0.0, None)
+    return low
+
+
+def _check_nonnegative(values: np.ndarray) -> np.ndarray:
+    """The values with entries in [-NEGATIVE_TOL, 0) clamped to 0; no copy if none are."""
+    low = _check_low(float(np.min(values)))
+    return values if low >= 0.0 else np.clip(values, 0.0, None)
 
 
 def _finite(value, name: str) -> float:
@@ -134,51 +140,69 @@ def _finite(value, name: str) -> float:
     return value
 
 
-def _entropy_integral(values: np.ndarray, w: np.ndarray, square: np.ndarray) -> float:
-    """integral of v^2 log v, with 0^2 log 0 = 0, from the weights and
-    ``square`` = values * values, which it overwrites.
+@np.errstate(over="ignore", invalid="ignore")
+def _square_integrals(f: GridFunction, w=None, log: bool = True) -> tuple[float, float, float]:
+    """``(integral f^2, integral f^2 log f, min f)``, unchecked, over blocks of BLOCK nodes:
+    dotted with slices of the weights ``w``, or of the Simpson weights on intervals (up to
+    BLOCK nodes exactly ``w @ integrand``), or summed after scaling the square by the step
+    L/n on circles. log f is 0 where f <= 0; the entropy reads 0 without ``log`` or if
+    min f < -NEGATIVE_TOL."""
+    values, n, interval = f.values, f.n, isinstance(f.domain, Interval)
+    low = float(np.min(values)) if log else math.nan
+    log = log and low >= -NEGATIVE_TOL
+    square, scratch = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK))
+    mass, ent, weights = 0.0, 0.0, None
+    for lo in range(0, n, BLOCK):
+        v = values[lo:lo + BLOCK]
+        sq = np.multiply(v, v, out=square[:v.size])
+        if w is not None:
+            weights = w[lo:lo + v.size]
+        elif interval and not BLOCK < lo <= n - 4 - BLOCK:  # the blocks between share weights
+            weights = _simpson_weights(f.domain, n, lo, lo + v.size)
+        if weights is None:  # no partial sum of f^2 or f^2 log f overflows before the integral
+            sq *= f.domain.circumference / n
+        mass += float(np.sum(sq) if weights is None else weights @ sq)
+        if log:
+            lg = np.log(v if low > 0.0 else np.where(v > 0.0, v, 1.0), out=scratch[:v.size])
+            lg *= sq
+            ent += float(np.sum(lg) if weights is None else weights @ lg)
+    return mass, ent, low
 
-    On positive values the integrand is the square times log v, in place
-    and with no mask: bit for bit :func:`_entropy_integrand`, because IEEE
-    products commute. Otherwise that masked integrand is used.
-    """
-    values = _check_nonnegative(values)
-    if float(np.min(values)) > 0.0:
-        square *= np.log(values)
-        integrand = square
-    else:
-        integrand = _entropy_integrand(values)
-    return _finite(w @ integrand, "entropy")
+
+def entropy(f: GridFunction, w: Optional[np.ndarray] = None) -> float:
+    """integral of f^2 log f, with 0^2 log 0 = 0; ``w``: the weights of f's grid, if at hand."""
+    _, ent, low = _square_integrals(f, w)
+    _check_low(low)
+    return _finite(ent, "entropy")
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def entropy(f: GridFunction) -> float:
-    """integral of f^2 log f, with 0^2 log 0 = 0."""
-    w = quadrature_weights(f.domain, f.n)
-    return _entropy_integral(f.values, w, f.values * f.values)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def dirichlet_energy(f: GridFunction) -> float:
-    """integral of (f')^2; on circles the discrete Parseval sum
-    ``(2L/N^2) * sum_{k>=1} |D_k|^2`` over the derivative spectrum D of one
-    real FFT, equal to the trapezoid rule on the spectral derivative. Only
-    |D_k| matters, so the spectrum is scaled by the real 2*pi*k/L."""
+def dirichlet_energy(f: GridFunction, w: Optional[np.ndarray] = None) -> float:
+    """integral of (f')^2; on circles the discrete Parseval sum ``(2L/N^2) * sum_{k>=1}
+    |D_k|^2`` over the derivative spectrum D of one real FFT (the trapezoid rule on the
+    spectral derivative), each block of BLOCK modes scaled by the real 2*pi*k/L. On
+    intervals ``w @ (f')^2``, ``w`` the Simpson weights (built here if not given)."""
     if isinstance(f.domain, Circle):
-        d = _derivative_spectrum(f, real_factor=True)[1:]
-        d /= f.n  # before squaring: |D_k|^2 alone may overflow
-        return _finite(2.0 * f.domain.circumference * np.vdot(d, d).real, "Dirichlet energy")
-    d = differentiate(f).values
-    square = d * d
-    del d  # before the weights are built
-    return _finite(quadrature_weights(f.domain, f.n) @ square, "Dirichlet energy")
+        n, spectrum = f.n, np.fft.rfft(f.values)
+        if n % 2 == 0:
+            spectrum[-1] = 0.0  # the Nyquist mode's derivative is unrepresentable
+        unit, total = 1.0 / (n * (f.domain.circumference / n)), 0.0  # unit: rfftfreq's step
+        for lo in range(1, spectrum.size, BLOCK):
+            d = spectrum[lo:lo + BLOCK]
+            d *= np.arange(lo, lo + d.size) * unit * (2.0 * np.pi)
+            if not (np.isfinite(spectrum[0]) and np.isfinite(d).all()):  # mode 0 gives 0 * a_0
+                raise InvalidInputError(DERIVATIVE_OVERFLOW)
+            d /= n  # before squaring: |D_k|^2 alone may overflow
+            total += np.vdot(d, d).real
+        return _finite(2.0 * f.domain.circumference * total, "Dirichlet energy")
+    square = np.square(differentiate(f).values)  # the derivative is freed before the weights
+    w = quadrature_weights(f.domain, f.n) if w is None else w
+    return _finite(w @ square, "Dirichlet energy")
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def squared_mass(f: GridFunction) -> float:
     """integral of f^2."""
-    w = quadrature_weights(f.domain, f.n)
-    return _finite(w @ (f.values * f.values), "integral of f^2")
+    return _finite(_square_integrals(f, log=False)[0], "integral of f^2")
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +239,13 @@ def _log_sobolev_report(f: GridFunction, unit_mass: bool = False) -> FunctionalR
     With ``unit_mass`` the domain is a unit one, L = 1, the squared mass
     must be 1 and the correction is 0.
 
-    The mass and the entropy share one weight vector and one square
-    ``f.values * f.values``; the entropy integrand overwrites the square
-    once the mass is taken. On intervals the weights are built before
-    :func:`dirichlet_energy`, so that the weights it builds for itself
-    are the report's last (``bench/test_bench.py`` pins that call order).
-    A circle energy builds none, and the weights wait until its FFT
-    arrays are freed.
+    Its mass and entropy equal :func:`squared_mass` and :func:`entropy`. Errors
+    are checked in this order: the energy, the mass, the sign, the entropy.
     """
     length, c = _geometry(f.domain)
-    w = quadrature_weights(f.domain, f.n) if isinstance(f.domain, Interval) else None
-    energy = dirichlet_energy(f)  # next: an overflowing derivative is named as such
-    if w is None:
-        w = quadrature_weights(f.domain, f.n)
-    square = f.values * f.values
-    mass = _finite(w @ square, "integral of f^2")
+    energy = dirichlet_energy(f)
+    mass, ent, low = _square_integrals(f)
+    mass = _finite(mass, "integral of f^2")
     if unit_mass:
         if abs(mass - 1.0) > NORMALIZATION_TOL:
             raise NotNormalizedError(
@@ -241,33 +257,31 @@ def _log_sobolev_report(f: GridFunction, unit_mass: bool = False) -> FunctionalR
         if m <= MASS_TOL:
             raise ZeroMassError(f"root mean square {m:.3e} is numerically zero")
         correction = length * m * m * math.log(m)
-    ent = _entropy_integral(f.values, w, square)
-    return _report(mass, ent, energy, c / length**2, correction)
+    _check_low(low)
+    return _report(mass, _finite(ent, "entropy"), energy, c / length**2, correction)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _fisher_report(f: GridFunction) -> FunctionalReport:
-    """``fisher - (2c / L^2) * (integral f log f - L * m log m)``, m the mean.
-
-    One scratch array holds ``log f * f`` and then ``d * d / f``.
-    """
+    """``fisher - (2c / L^2) * (integral f log f - L * m log m)``, m the mean;
+    one scratch array holds ``log f * f`` and then ``d * d / f``."""
     length, c = _geometry(f.domain)
     values = f.values
     low = float(np.min(values))
     if low < MASS_TOL:
         raise NonPositiveFunctionError(f"minimum value {low:.3e}; need min >= {MASS_TOL:.0e}")
     d = differentiate(f).values  # before the integrals, as in _log_sobolev_report
-    w = quadrature_weights(f.domain, f.n)
-    mass = float(w @ values)
+    w = quadrature_weights(f.domain, f.n) if isinstance(f.domain, Interval) else None
+    mass = _integral(f.domain, values, w)
     m = mass / length
     if m <= MASS_TOL:
         raise ZeroMassError(f"mean {m:.3e} is numerically zero")
     scratch = np.log(values)
     scratch *= values
-    ent = _finite(w @ scratch, "integral of f log f")
+    ent = _finite(_integral(f.domain, scratch, w), "integral of f log f")
     np.multiply(d, d, out=scratch)
     scratch /= values
-    fisher = _finite(w @ scratch, "Fisher information")
+    fisher = _finite(_integral(f.domain, scratch, w), "Fisher information")
     return _report(mass, ent, fisher, 2.0 * c / length**2, length * m * math.log(m))
 
 

@@ -3,7 +3,7 @@
 ``GridFunction`` copies a caller's array but adopts the arrays lsilab
 builds for it. The circle energy scales its spectrum by a real factor and
 synthesis scales in place; both must equal the expressions they replaced
-with ``==``. The power-mean probe keeps only its witnesses, and the
+with ``==``, the energy summed over blocks of BLOCK modes as it is now. The power-mean probe keeps only its witnesses, and the
 optimizer refuses an oversized basis before it builds one.
 """
 
@@ -40,7 +40,7 @@ from lsilab import (
 from lsilab import experiments
 from lsilab.cli import main
 from lsilab.experiments import random_admissible_function, synthesize_coefficients
-from lsilab.function_space import MAX_SAMPLES
+from lsilab.function_space import BLOCK, MAX_SAMPLES
 from lsilab.functionals import _finite
 
 from child import run_cli_limited
@@ -143,7 +143,8 @@ def test_transform_outputs_do_not_share_memory_with_their_inputs():
 # ---------------------------------------------------------------------------
 
 def _complex_factor_energy(f):
-    """The circle energy as computed before: the spectrum times 2 pi i k / L."""
+    """The circle energy as computed before: the spectrum times 2 pi i k / L,
+    with the squared magnitudes summed by one vdot per block of BLOCK modes."""
     n = f.n
     spectrum = np.fft.rfft(f.values)
     spectrum *= 2j * np.pi * np.fft.rfftfreq(n, d=f.domain.circumference / n)
@@ -153,7 +154,8 @@ def _complex_factor_energy(f):
         raise InvalidInputError("derivative overflows float64; rescale the input")
     d = spectrum[1:]
     d /= n
-    return _finite(2.0 * f.domain.circumference * np.vdot(d, d).real, "Dirichlet energy")
+    total = sum(np.vdot(d[lo:lo + BLOCK], d[lo:lo + BLOCK]).real for lo in range(0, d.size, BLOCK))
+    return _finite(2.0 * f.domain.circumference * total, "Dirichlet energy")
 
 
 def _energy_or_error(energy, f):

@@ -36,7 +36,7 @@ from lsilab import experiments, function_space, functionals
 from lsilab.cli import main
 from lsilab.experiments import DIAZ_FLAG_TOL, random_admissible_function
 from lsilab.function_space import grid_points, quadrature_weights
-from lsilab.functionals import _check_nonnegative, _diaz_deficits, _entropy_integral, _entropy_integrand
+from lsilab.functionals import _check_nonnegative, _diaz_deficits, _entropy_integrand
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +160,12 @@ def test_entropy_fast_path_equals_the_masked_integrand(case):
     values = _entropy_inputs()[case]
     for domain in (UNIT_INTERVAL, Interval(-1.0, 2.5), UNIT_CIRCLE):
         f = GridFunction(domain, values)
-        w = quadrature_weights(domain, f.n)
         integrand = _entropy_integrand(_check_nonnegative(values))
-        want = float(w @ integrand)
-        square = values * values
-        assert _entropy_integral(values, w, square) == want
-        if case == "positive":  # the fast path leaves its integrand in the square
-            assert np.array_equal(square, integrand)
+        if isinstance(domain, Interval):
+            want = float(quadrature_weights(domain, f.n) @ integrand)
+        else:  # the circle rule: log f times the square scaled by L/n, summed in one block
+            square = values * values * (domain.circumference / f.n)
+            want = float(np.sum(np.log(np.where(values > 0.0, values, 1.0)) * square))
         assert entropy(f) == want
         if isinstance(domain, Interval):
             report = lsi_deficit_general(f)

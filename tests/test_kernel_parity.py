@@ -70,16 +70,24 @@ def ref_circle_mass_corrected(f):
     return FunctionalReport(mass, ent, energy, FOUR_PI_SQUARED, deficit, _ratio(energy, ent), correction)
 
 
+def ref_integral(f, integrand):
+    """Simpson weights @ integrand on intervals; on circles the sum of the
+    integrand times the step L/n, taken in blocks of 8192 nodes (one block
+    at these sizes)."""
+    if isinstance(f.domain, Circle):
+        assert f.n <= 8192
+        return float(np.sum(integrand * (f.domain.circumference / f.n)))
+    return float(quadrature_weights(f.domain, f.n) @ integrand)
+
+
 def ref_fisher_integrals(f):
-    w = quadrature_weights(f.domain, f.n)
     d = differentiate(f).values
-    return float(w @ (d * d / f.values)), float(w @ (f.values * np.log(f.values)))
+    return ref_integral(f, d * d / f.values), ref_integral(f, f.values * np.log(f.values))
 
 
 def ref_fisher(f):
     fisher, log_mass = ref_fisher_integrals(f)
-    w = quadrature_weights(f.domain, f.n)
-    mass = float(w @ f.values)
+    mass = ref_integral(f, f.values)
     length = f.domain.length
     if isinstance(f.domain, Interval):
         constant = 2.0 * PI_SQUARED / length**2
