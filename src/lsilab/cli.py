@@ -9,7 +9,11 @@ takes only the flags it reads, as declared in :data:`COMMANDS`
   1  I/O, validation or usage error (malformed files, bad parameters, a flag
      the command does not take); the message is one ``lsilab: error:`` line
   2  a *proven* inequality came out negative beyond the command's
-     --tolerance -- this flags a numerical-setup bug, never a disproof
+     --tolerance -- this flags a numerical-setup bug, never a disproof.
+     Each checking command exits 2 exactly when its margin lies below
+     -tolerance (see :func:`_verdict`): the deficit (verify), the best
+     deficit (optimize), -residual (wang), -|eigenvalue - 4 pi^2| (eigen),
+     and min(abs_n_bound - entropy, n_squared_bound - abs_n_bound) (weissler)
   3  the open power-mean conjecture produced a candidate counterexample
      (a finding: the witness function is serialized next to the report)
 
@@ -101,6 +105,15 @@ def _resolve_output(args: argparse.Namespace, default_name: str) -> Path:
     return path
 
 
+def _verdict(margin: float, tolerance: float, message: str) -> int:
+    """Exit code of a checking command: 2, with ``message`` on stderr, when
+    the proven inequality's ``margin`` lies below ``-tolerance``; else 0."""
+    if margin < -tolerance:
+        print(f"lsilab: {message}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _deficit(args: argparse.Namespace) -> int:
     """``functional`` and ``verify``: one deficit form of a grid CSV."""
     f = read_grid_csv(args.input, args.domain)
@@ -124,14 +137,10 @@ def _deficit(args: argparse.Namespace) -> int:
         else:
             write_json(report.to_dict(), out)
     print(f"deficit={deficit!r}")
-    if args.command == "verify" and deficit < -args.tolerance:
-        print(
-            "lsilab: proven inequality violated numerically "
-            f"(deficit {deficit!r}); check the discretization",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    if args.command == "functional":
+        return 0
+    return _verdict(deficit, args.tolerance, "proven inequality violated numerically "
+                    f"(deficit {deficit!r}); check the discretization")
 
 
 def _transform(args: argparse.Namespace) -> int:
@@ -168,14 +177,8 @@ def _wang(args: argparse.Namespace) -> int:
     out = _resolve_output(args, "wang.json")
     write_json({"eps": args.eps, "n": args.n, "residual": residual}, out)
     print(f"residual={residual!r}")
-    if residual > args.tolerance:
-        print(
-            f"lsilab: ODE residual {residual!r} above tolerance; "
-            "the identity is exact, so the discretization is off",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    return _verdict(-residual, args.tolerance, f"ODE residual {residual!r} above tolerance; "
+                    "the identity is exact, so the discretization is off")
 
 
 def _optimize(args: argparse.Namespace) -> int:
@@ -186,14 +189,8 @@ def _optimize(args: argparse.Namespace) -> int:
     out = _resolve_output(args, "optimize.json")
     write_json(result.to_dict(), out)
     print(f"best_deficit={result.best_deficit!r} iterations={result.iterations}")
-    if result.best_deficit < -args.tolerance:
-        print(
-            "lsilab: optimizer produced a negative deficit for a proven "
-            "inequality; check the quadrature settings",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    return _verdict(result.best_deficit, args.tolerance, "optimizer produced a negative "
+                    "deficit for a proven inequality; check the quadrature settings")
 
 
 def _diaz(args: argparse.Namespace) -> int:
@@ -223,10 +220,7 @@ def _eigen(args: argparse.Namespace) -> int:
     out = _resolve_output(args, "eigen.json")
     write_json({"eigenvalue": value, "reference": reference, "n": args.n}, out)
     print(f"eigenvalue={value!r}")
-    if abs(value - reference) > args.tolerance:
-        print("lsilab: spectral-gap check failed", file=sys.stderr)
-        return 2
-    return 0
+    return _verdict(-abs(value - reference), args.tolerance, "spectral-gap check failed")
 
 
 def _weissler(args: argparse.Namespace) -> int:
@@ -246,10 +240,8 @@ def _weissler(args: argparse.Namespace) -> int:
         out,
     )
     print(f"entropy={ent!r} abs_n_bound={abs_bound!r} n_squared_bound={sq_bound!r}")
-    if ent > abs_bound + args.tolerance or abs_bound > sq_bound + args.tolerance:
-        print("lsilab: Fourier-side entropy bound violated numerically", file=sys.stderr)
-        return 2
-    return 0
+    return _verdict(min(abs_bound - ent, sq_bound - abs_bound), args.tolerance,
+                    "Fourier-side entropy bound violated numerically")
 
 
 class Command(NamedTuple):

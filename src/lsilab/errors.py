@@ -30,12 +30,8 @@ class TruncationTooLargeError(LsiLabError):
     """Fourier truncation does not fit on the sample grid."""
 
 
-class NotRealValuedError(LsiLabError):
-    """Fourier synthesis has an imaginary residue above tolerance."""
-
-
 class NotHermitianError(LsiLabError):
-    """Coefficients violate the conjugate symmetry of real functions."""
+    """A FourierSeries is not conjugate-symmetric within HERMITIAN_TOL."""
 
 
 class NegativeFunctionError(LsiLabError):

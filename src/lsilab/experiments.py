@@ -66,8 +66,7 @@ class SweepRecord:
     deficit: float
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ParamOutOfRangeError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        _check_eps(self.epsilon)
 
     def csv_row(self) -> tuple:
         """The cells under :data:`SWEEP_CSV_HEADER`."""
@@ -142,8 +141,7 @@ def wang_ode_residual(eps: float, n: int) -> float:
     twice, so the identity is exact in the continuum and the returned
     value measures pure discretization error.
     """
-    if not (0.0 < eps < 1.0):
-        raise ParamOutOfRangeError(f"eps must lie in (0, 1), got {eps}")
+    _check_eps(eps)
     if n < 513:
         raise ParamOutOfRangeError(f"need n >= 513, got {n}")
     f = sample_family(Family.WANG, [eps], UNIT_INTERVAL, n)
@@ -182,13 +180,7 @@ class OptimizerResult:
     converged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "best_deficit": self.best_deficit,
-            "best_ratio": self.best_ratio,
-            "coefficients": [float(c) for c in self.coefficients],
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        return {**asdict(self), "coefficients": self.coefficients.tolist()}
 
 
 #: Entropy threshold below which the energy/entropy ratio is not recorded.

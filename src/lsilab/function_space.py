@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (
     DomainMismatchError,
     InvalidInputError,
-    NotRealValuedError,
+    NotHermitianError,
     ParamOutOfRangeError,
     TruncationTooLargeError,
     UnknownFamilyError,
@@ -43,8 +43,8 @@ MIN_SAMPLES = 16
 #: Largest grid (and Fourier vector) lsilab allocates from outside input.
 MAX_SAMPLES = 2**24
 
-#: Absolute tolerance on the imaginary residue of a real-valued synthesis.
-IMAG_TOL = 1e-10
+#: Conjugate-symmetry tolerance of a FourierSeries, relative to max(1, max|a_n|).
+HERMITIAN_TOL = 1e-10
 
 #: Tolerance used when an operation requires a specific domain geometry.
 GEOM_TOL = 1e-12
@@ -304,10 +304,10 @@ def _closure_stencils(v: np.ndarray, h: float) -> tuple[float, float]:
 class FourierSeries:
     """Two-sided coefficient vector a_n, |n| <= n_max, of a periodic function.
 
-    ``coefficients[k]`` stores a_{k - n_max}. Real-valued functions have
-    a_{-n} = conj(a_n); constructors in this module enforce that exactly,
-    but hand-built series may violate it, which downstream operations
-    detect and reject.
+    ``coefficients[k]`` stores a_{k - n_max}. The series is that of a
+    real-valued function: a_{-n} = conj(a_n) within HERMITIAN_TOL times
+    max(1, max|a_n|), or construction raises NotHermitianError. The
+    constructors in this module build exactly symmetric series.
     """
 
     circumference: float
@@ -323,6 +323,9 @@ class FourierSeries:
             raise InvalidInputError("coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
+        defect = self.hermitian_defect()
+        if defect > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(c)))):
+            raise NotHermitianError(f"conjugate-symmetry defect {defect:.3e}")
 
     @property
     def n_max(self) -> int:
@@ -333,10 +336,14 @@ class FourierSeries:
             return 0.0 + 0.0j
         return complex(self.coefficients[n + self.n_max])
 
+    @np.errstate(over="ignore")  # an overflowing difference is an infinite defect
     def hermitian_defect(self) -> float:
-        """max |a_{-n} - conj(a_n)|; zero for real-valued functions."""
-        c = self.coefficients
-        return float(np.max(np.abs(c[::-1] - np.conj(c))))
+        """max |a_{-n} - conj(a_n)|; zero for real-valued functions.
+
+        The term at -n is the negated conjugate of the one at n, so the
+        half n >= 0 gives the maximum."""
+        c, n_max = self.coefficients, self.n_max
+        return float(np.max(np.abs(c[n_max::-1] - np.conj(c[n_max:]))))
 
     def mass(self) -> float:
         """sum |a_n|^2, the squared L2 norm in the unit-mass measure."""
@@ -378,26 +385,15 @@ def to_fourier(f: GridFunction, n_max: int) -> FourierSeries:
 
 
 def from_fourier(series: FourierSeries, n: int) -> GridFunction:
-    """Pointwise synthesis on the n-point periodic grid with real FFTs.
-
-    The conjugate-symmetric part h of the coefficients gives the values
-    ``n * irfft(h)``; the rest gives exactly the imaginary residue, which
-    must stay below 1e-10, or the series is not real-valued.
-    """
+    """Pointwise synthesis on the n-point periodic grid: ``n * irfft`` of
+    a_0..a_{n_max}. The real FFT takes a_{-n} to be conj(a_n), which the
+    series guarantees within HERMITIAN_TOL."""
     n_max = series.n_max
     if n < 2 * n_max + 1:
         raise TruncationTooLargeError(
             f"need n >= {2 * n_max + 1} samples to hold modes up to {n_max}"
         )
-    c = series.coefficients
-    anti = 0.5 * c - 0.5 * np.conj(c[::-1])
-    if np.any(anti):
-        residue = float(np.max(np.abs(n * np.fft.irfft(-1j * anti[n_max:], n))))
-        if residue > IMAG_TOL:
-            raise NotRealValuedError(
-                f"imaginary residue {residue:.3e} exceeds {IMAG_TOL:.0e}"
-            )
-    values = np.fft.irfft((c - anti)[n_max:], n)
+    values = np.fft.irfft(series.coefficients[n_max:], n)
     values *= n  # the IEEE product n * irfft, in place
     return GridFunction._adopt(Circle(series.circumference), values)
 

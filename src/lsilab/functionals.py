@@ -44,7 +44,6 @@ from .errors import (
     InvalidInputError,
     NegativeFunctionError,
     NonPositiveFunctionError,
-    NotHermitianError,
     NotNormalizedError,
     ParamOutOfRangeError,
     ZeroMassError,
@@ -339,10 +338,6 @@ class WeightPower(str, Enum):
     N_SQUARED = "n_squared"
 
 
-#: Tolerance on the conjugate-symmetry defect of coefficient input.
-HERMITIAN_TOL = 1e-10
-
-
 def weissler_bound(series: FourierSeries, power: WeightPower | str) -> float:
     """Fourier-side upper bound on the entropy of a nonnegative function.
 
@@ -352,10 +347,6 @@ def weissler_bound(series: FourierSeries, power: WeightPower | str) -> float:
     so M equals the squared L2 norm.
     """
     power = WeightPower(power)
-    defect = series.hermitian_defect()
-    scale = max(1.0, float(np.max(np.abs(series.coefficients))))
-    if defect > HERMITIAN_TOL * scale:
-        raise NotHermitianError(f"conjugate-symmetry defect {defect:.3e}")
     n = np.arange(-series.n_max, series.n_max + 1)
     weights = np.abs(n) if power is WeightPower.ABS_N else n.astype(float) ** 2
     mode_term = float(weights @ (np.abs(series.coefficients) ** 2))

@@ -35,6 +35,8 @@ from lsilab import (
     reflect_to_circle,
     sample_family,
     sqrt_lift,
+    to_fourier,
+    weissler_bound,
     write_grid_csv,
 )
 from lsilab import experiments
@@ -192,10 +194,41 @@ def test_from_fourier_equals_n_times_irfft(n, defect):
     c = np.concatenate([np.conj(half[:0:-1]), half])
     c[0] += defect
     series = FourierSeries(0.7, c)
-    anti = 0.5 * c - 0.5 * np.conj(c[::-1])
-    want = n * np.fft.irfft((c - anti)[8:], n)
+    want = n * np.fft.irfft(c[8:], n)
     np.testing.assert_array_equal(from_fourier(series, n).values, want)
     assert from_fourier(series, n).domain == Circle(0.7)
+
+
+@pytest.mark.parametrize("n, n_max", [(64, 20), (65, 32), (4096, 1024), (4097, 2048)])
+def test_round_trip_equals_the_symmetric_part_synthesis(n, n_max):
+    # synthesis once took the conjugate-symmetric part of the coefficients
+    # first; on the exactly symmetric output of to_fourier it equals that, bit for bit
+    f = from_callable(Circle(2.0), n, lambda x: np.exp(np.cos(math.pi * x) + 0.3 * np.sin(9 * x)))
+    c = to_fourier(f, n_max).coefficients
+    symmetric = c - (0.5 * c - 0.5 * np.conj(c[::-1]))
+    want = n * np.fft.irfft(symmetric[n_max:], n)
+    np.testing.assert_array_equal(from_fourier(to_fourier(f, n_max), n).values, want)
+
+
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_symmetry_check_peak_stays_under_the_weissler_bound_pass():
+    # the check moved from weissler_bound into construction; it must not
+    # raise the high-water mark of a weissler run above the bound's own pass
+    rng = np.random.default_rng(1)
+    half = rng.standard_normal(2**16) + 1j * rng.standard_normal(2**16)
+    half[0] = half[0].real
+    c = np.concatenate([np.conj(half[:0:-1]), half])
+    series = FourierSeries(1.0, c)
+    check = _peak_bytes(lambda: FourierSeries(1.0, c)) - c.nbytes  # less the kept copy
+    assert 0 < check <= _peak_bytes(lambda: weissler_bound(series, "n_squared"))
 
 
 # ---------------------------------------------------------------------------

@@ -176,13 +176,21 @@ def test_weissler_command(tmp_path):
     assert payload["abs_n_bound"] <= payload["n_squared_bound"] + 1e-7
 
 
-def test_weissler_rejects_non_real_series(tmp_path):
-    series = fourier_from_dict(1.0, {1: 1.0j, -1: 1.0j})
+@pytest.mark.parametrize("im, defect", [(1.0, "2.000e+00"), (1e308, "inf")])
+def test_weissler_rejects_non_real_series_in_one_line(tmp_path, capsys, im, defect):
+    # a_{-1} = a_1 = i*im cannot be built as a FourierSeries, so the JSON is written by hand
     path = tmp_path / "series.json"
-    write_fourier_json(series, path)
-    code = main(["weissler", "--input", str(path), "--output",
-                 str(tmp_path / "w.json")])
+    path.write_text(json.dumps({"circumference": 1.0, "coefficients": [
+        {"n": -1, "re": 0.0, "im": im}, {"n": 1, "re": 0.0, "im": im}]}))
+    out = tmp_path / "w.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["weissler", "--input", str(path), "--output", str(out)])
     assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lsilab: error: conjugate-symmetry defect {defect}\n"
+    assert not out.exists()
 
 
 def test_weissler_rejects_sign_changing_synthesis(tmp_path):
@@ -546,25 +554,63 @@ TOLERANCE_ARGV = {
     "weissler": ["weissler", "--input", "SERIES"],
 }
 
+#: The exit-2 stderr line of each checking command; {} is the value it printed on stdout.
+EXIT_TWO_LINES = {
+    "verify": "lsilab: proven inequality violated numerically (deficit {}); "
+              "check the discretization",
+    "wang": "lsilab: ODE residual {} above tolerance; "
+            "the identity is exact, so the discretization is off",
+    "optimize": "lsilab: optimizer produced a negative deficit for a proven inequality; "
+                "check the quadrature settings",
+    "eigen": "lsilab: spectral-gap check failed",
+    "weissler": "lsilab: Fourier-side entropy bound violated numerically",
+}
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("name", sorted(TOLERANCE_ARGV))
-def test_non_finite_tolerance_exits_one_with_one_line(const_csv, tmp_path, monkeypatch, capsys,
-                                                      name, value):
-    # with NaN or an infinity, the check's outcome would not depend on the result
-    assert sorted(TOLERANCE_ARGV) == sorted(TOLERANCES)
+
+@pytest.fixture
+def tolerance_argv(const_csv, tmp_path, monkeypatch):
+    """name -> argv of each checking command, its inputs written to tmp_path (the cwd)."""
     series = tmp_path / "series.json"
     write_fourier_json(fourier_from_dict(1.0, {0: 1.0}), series)
     monkeypatch.chdir(tmp_path)
     inputs = {"IN": str(const_csv), "SERIES": str(series)}
-    argv = [inputs.get(arg, arg) for arg in TOLERANCE_ARGV[name]]
-    assert main(argv + [f"--tolerance={value}", "--output", str(tmp_path / "out.json")]) == 1
+    return {name: [inputs.get(arg, arg) for arg in argv] for name, argv in TOLERANCE_ARGV.items()}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(TOLERANCE_ARGV))
+def test_non_finite_tolerance_exits_one_with_one_line(tolerance_argv, tmp_path, capsys,
+                                                      name, value):
+    # with NaN or an infinity, the check's outcome would not depend on the result
+    assert sorted(TOLERANCE_ARGV) == sorted(TOLERANCES)
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    out = str(tmp_path / "out.json")
+    assert main(tolerance_argv[name] + [f"--tolerance={value}", "--output", out]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         f"lsilab: error: argument --tolerance: must be a finite float, got {value!r}\n"
     )
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([const_csv.name, series.name])
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("name", sorted(TOLERANCE_ARGV))
+def test_checking_command_exits_two_with_its_line_beyond_the_tolerance(tolerance_argv, tmp_path,
+                                                                       capsys, name):
+    assert sorted(EXIT_TWO_LINES) == sorted(TOLERANCES)
+    out = tmp_path / "out.json"
+    assert main(tolerance_argv[name] + ["--output", str(out)]) == 0
+    passed = capsys.readouterr()
+    assert passed.err == ""
+    report = out.read_bytes()
+    out.unlink()
+    # a negative tolerance demands a margin of 1e6, which none of these inputs has
+    assert main(tolerance_argv[name] + ["--tolerance=-1e6", "--output", str(out)]) == 2
+    failed = capsys.readouterr()
+    assert failed.out == passed.out
+    printed = passed.out.split()[0].partition("=")[2]
+    assert failed.err == EXIT_TWO_LINES[name].format(printed) + "\n"
+    assert out.read_bytes() == report
 
 
 def test_grid_csv_over_the_row_cap_exits_one_with_one_line(tmp_path, monkeypatch, capsys):

@@ -86,6 +86,18 @@ def test_extrapolate_constant_data_is_exact():
     assert extrapolate_constant(records) == 7.25
 
 
+@pytest.mark.parametrize("check", [
+    lambda eps: SweepRecord(eps, 1.0, 1.0, 1.0, 0.0),
+    lambda eps: wang_ode_residual(eps, 513),
+    lambda eps: sample_family(Family.WANG, [eps], UNIT_INTERVAL, 65),
+    lambda eps: sharpness_sweep([eps], 2049),
+], ids=["SweepRecord", "wang_ode_residual", "sample_family", "sharpness_sweep"])
+@pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, math.nan])
+def test_every_epsilon_check_raises_one_message(check, eps):
+    with pytest.raises(ParamOutOfRangeError, match=rf"^eps must lie in \(0, 1\), got {eps}$"):
+        check(eps)
+
+
 def test_extrapolate_rejects_duplicate_epsilons():
     records = [SweepRecord(0.1, 1.0, 1.0, 9.9, 0.0)] * 5
     with pytest.raises(InsufficientDataError):

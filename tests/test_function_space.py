@@ -18,7 +18,7 @@ from lsilab import (
     GridFunction,
     Interval,
     InvalidInputError,
-    NotRealValuedError,
+    NotHermitianError,
     ParamOutOfRangeError,
     TruncationTooLargeError,
     UNIT_INTERVAL,
@@ -308,15 +308,28 @@ def test_from_fourier_basics():
     )
 
 
-def test_from_fourier_rejects_non_real_series():
-    s = fourier_from_dict(1.0, {1: 1.0j, -1: 1.0j})
-    with pytest.raises(NotRealValuedError):
-        from_fourier(s, 32)
+def test_a_non_real_series_cannot_be_built():
+    # a_{-1} = a_1 = i: the synthesis would be 2i cos(2 pi x)
+    with pytest.raises(NotHermitianError, match=r"^conjugate-symmetry defect 2\.000e\+00$"):
+        fourier_from_dict(1.0, {1: 1.0j, -1: 1.0j})
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_conjugate_symmetry_tolerance_is_relative_to_the_largest_coefficient(scale):
+    def series(defect):
+        return FourierSeries(1.0, scale * np.array([0.25, 1.0, 0.25]) + np.array([0, 0, defect]))
+
+    # the threshold is HERMITIAN_TOL * max(1, max|a_n|): 1e-4 at scale 1e6,
+    # where an absolute 1e-10 would reject both defects, and 1e-10 below scale 1
+    threshold = function_space.HERMITIAN_TOL * max(1.0, scale)
+    assert series(0.99 * threshold).hermitian_defect() == pytest.approx(0.99 * threshold)
+    with pytest.raises(NotHermitianError, match=r"^conjugate-symmetry defect 1\.010e"):
+        series(1.01 * threshold)
 
 
 @pytest.mark.parametrize("n", [4096, 65536])
 def test_from_fourier_accepts_a_large_hermitian_series(n):
-    # an absolute IMAG_TOL once rejected this exactly real series on the
+    # an absolute residue tolerance once rejected this exactly real series on the
     # rounding noise of a complex synthesis (residue 2.6e-10 and 4.1e-10)
     entries = {0: 1e8, 1: 3e5 + 2e5j, -1: 3e5 - 2e5j, 7: 4e4 - 1.5e4j, -7: 4e4 + 1.5e4j}
     f = from_fourier(fourier_from_dict(1.0, entries), n)
@@ -364,8 +377,8 @@ def test_parseval_for_band_limited_function():
 def test_hermitian_defect():
     good = fourier_from_dict(1.0, {1: 0.5 + 0.25j, -1: 0.5 - 0.25j})
     assert good.hermitian_defect() == 0.0
-    bad = fourier_from_dict(1.0, {1: 0.5, -1: 0.25})
-    assert bad.hermitian_defect() == pytest.approx(0.25)
+    with pytest.raises(NotHermitianError, match=r"^conjugate-symmetry defect 2\.500e-01$"):
+        fourier_from_dict(1.0, {1: 0.5, -1: 0.25})
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from lsilab import (
     InvalidInputError,
     NegativeFunctionError,
     NonPositiveFunctionError,
-    NotHermitianError,
     NotNormalizedError,
     PI_SQUARED,
     ParamOutOfRangeError,
@@ -341,12 +340,6 @@ def test_weissler_dominance_random(seed):
     sq_bound = weissler_bound(series, WeightPower.N_SQUARED)
     assert ent <= abs_bound + 1e-7
     assert abs_bound <= sq_bound + 1e-7
-
-
-def test_weissler_bound_rejects_non_hermitian():
-    series = fourier_from_dict(1.0, {1: 1.0, -1: 0.5})
-    with pytest.raises(NotHermitianError):
-        weissler_bound(series, WeightPower.ABS_N)
 
 
 # ---------------------------------------------------------------------------
