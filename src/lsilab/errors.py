@@ -31,7 +31,7 @@ class TruncationTooLargeError(LsiLabError):
 
 
 class NotHermitianError(LsiLabError):
-    """A FourierSeries is not conjugate-symmetric within HERMITIAN_TOL."""
+    """Non-real Fourier data: a_{-n} != conj(a_n) beyond HERMITIAN_TOL, or a non-real a_0."""
 
 
 class NegativeFunctionError(LsiLabError):

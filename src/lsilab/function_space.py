@@ -3,7 +3,7 @@
 This is the numerical substrate for everything else: uniform grids on
 intervals (both endpoints included) and circles (wrap point excluded),
 quadrature, differentiation, the closed-form sample families, and the
-two-sided Fourier coefficient representation of periodic functions.
+Fourier coefficients a_0..a_{n_max} of real periodic functions.
 
 Conventions:
   * Interval grid:  x_i = a + i*(b-a)/(N-1), i = 0..N-1.
@@ -43,7 +43,7 @@ MIN_SAMPLES = 16
 #: Largest grid (and Fourier vector) lsilab allocates from outside input.
 MAX_SAMPLES = 2**24
 
-#: Conjugate-symmetry tolerance of a FourierSeries, relative to max(1, max|a_n|).
+#: Conjugate-symmetry tolerance of two-sided Fourier data, relative to max(1, max|a_n|).
 HERMITIAN_TOL = 1e-10
 
 #: Tolerance used when an operation requires a specific domain geometry.
@@ -302,56 +302,48 @@ def _closure_stencils(v: np.ndarray, h: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class FourierSeries:
-    """Two-sided coefficient vector a_n, |n| <= n_max, of a periodic function.
+    """Coefficients a_0..a_{n_max} of a real-valued periodic function.
 
-    ``coefficients[k]`` stores a_{k - n_max}. The series is that of a
-    real-valued function: a_{-n} = conj(a_n) within HERMITIAN_TOL times
-    max(1, max|a_n|), or construction raises NotHermitianError. The
-    constructors in this module build exactly symmetric series.
+    ``half[n]`` stores a_n; a_{-n} = conj(a_n) is implied, so a non-real a_0 raises
+    NotHermitianError. Two-sided data is checked for that symmetry where it enters, in
+    :func:`fourier_from_dict`. Arrays are copied or adopted as in :class:`GridFunction`.
     """
 
     circumference: float
-    coefficients: np.ndarray
+    half: np.ndarray
 
     def __post_init__(self):
         if not (math.isfinite(self.circumference) and self.circumference > 0):
             raise InvalidInputError("circumference must be positive and finite")
-        c = np.array(self.coefficients, dtype=complex)
-        if c.ndim != 1 or c.size % 2 == 0:
-            raise InvalidInputError("coefficients must have odd length 2*n_max + 1")
+        c = self.half.array if type(self.half) is _Fresh else np.array(self.half, dtype=complex)
+        if c.ndim != 1 or c.size == 0:
+            raise InvalidInputError("half must be a nonempty vector a_0..a_{n_max}")
         if not np.all(np.isfinite(c)):
             raise InvalidInputError("coefficients must be finite")
+        if c[0].imag != 0.0:
+            raise NotHermitianError(f"a_0 must be real, got imaginary part {c[0].imag:.3e}")
         c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-        defect = self.hermitian_defect()
-        if defect > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(c)))):
-            raise NotHermitianError(f"conjugate-symmetry defect {defect:.3e}")
+        object.__setattr__(self, "half", c)
 
     @property
     def n_max(self) -> int:
-        return (self.coefficients.size - 1) // 2
+        return self.half.size - 1
 
     def coefficient(self, n: int) -> complex:
         if abs(n) > self.n_max:
             return 0.0 + 0.0j
-        return complex(self.coefficients[n + self.n_max])
-
-    @np.errstate(over="ignore")  # an overflowing difference is an infinite defect
-    def hermitian_defect(self) -> float:
-        """max |a_{-n} - conj(a_n)|; zero for real-valued functions.
-
-        The term at -n is the negated conjugate of the one at n, so the
-        half n >= 0 gives the maximum."""
-        c, n_max = self.coefficients, self.n_max
-        return float(np.max(np.abs(c[n_max::-1] - np.conj(c[n_max:]))))
+        return complex(self.half[n]) if n >= 0 else complex(self.half[-n]).conjugate()
 
     def mass(self) -> float:
-        """sum |a_n|^2, the squared L2 norm in the unit-mass measure."""
-        return float(np.sum(np.abs(self.coefficients) ** 2))
+        """The squared L2 norm |a_0|^2 + 2 sum_{n>=1} |a_n|^2, summed as 2 sum_{n>=0} - |a_0|^2."""
+        return float(2.0 * np.sum(np.abs(self.half) ** 2) - abs(self.half[0]) ** 2)
 
 
 def fourier_from_dict(circumference: float, entries: dict[int, complex]) -> FourierSeries:
-    """Build a series from a sparse {n: a_n} mapping; 2*max|n| + 1 <= MAX_SAMPLES."""
+    """Build a series from a sparse two-sided {n: a_n} mapping; 2*max|n| + 1 <= MAX_SAMPLES.
+
+    NotHermitianError unless |a_{-n} - conj(a_n)| <= HERMITIAN_TOL * max(1, max|a_n|)
+    for every n, a missing entry being 0. Keeps a_n for n >= 0, with a_0 made real."""
     if not entries:
         raise InvalidInputError("need at least one coefficient")
     n_max = max(abs(n) for n in entries)
@@ -359,18 +351,25 @@ def fourier_from_dict(circumference: float, entries: dict[int, complex]) -> Four
         raise TruncationTooLargeError(
             f"mode |n| = {n_max} needs {2 * n_max + 1} coefficients, more than {MAX_SAMPLES}"
         )
-    coeffs = np.zeros(2 * n_max + 1, dtype=complex)
-    for n, a in entries.items():
-        coeffs[n + n_max] = a
-    return FourierSeries(circumference, coeffs)
+    modes = list({abs(n) for n in entries})
+    pairs = np.array([(entries.get(k, 0), entries.get(-k, 0)) for k in modes], dtype=complex)
+    if not np.all(np.isfinite(pairs)):
+        raise InvalidInputError("coefficients must be finite")
+    # on components scaled to at most 1, neither the defect nor the threshold can overflow
+    scale = max(1.0, float(np.max(np.abs(pairs.view(float)))))
+    defect = float(np.max(np.abs(pairs[:, 1] / scale - np.conj(pairs[:, 0] / scale))))
+    if defect > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(pairs / scale)))):
+        raise NotHermitianError(f"conjugate-symmetry defect {defect * scale:.3e}")
+    half = np.zeros(n_max + 1, dtype=complex)
+    half[modes] = pairs[:, 0]
+    half[0] = half[0].real
+    return FourierSeries(circumference, _Fresh(half))
 
 
 def to_fourier(f: GridFunction, n_max: int) -> FourierSeries:
     """Coefficients a_n = (1/L) * integral f(x) exp(-2*pi*i*n*x/L) dx.
 
-    Computed with the periodic trapezoid rule as one real FFT: a_n for
-    n >= 0 is ``rfft(v)[n] / N`` and a_{-n} = conj(a_n), so the series
-    is exactly conjugate-symmetric by construction.
+    Computed with the periodic trapezoid rule as one real FFT: a_n is ``rfft(v)[n] / N``.
     """
     if not isinstance(f.domain, Circle):
         raise DomainMismatchError("Fourier analysis needs a circle domain")
@@ -380,22 +379,22 @@ def to_fourier(f: GridFunction, n_max: int) -> FourierSeries:
         raise TruncationTooLargeError(
             f"2*n_max + 1 = {2 * n_max + 1} exceeds the {f.n} grid samples"
         )
-    half = np.fft.rfft(f.values)[: n_max + 1] / f.n
-    return FourierSeries(f.domain.circumference, np.concatenate([np.conj(half[:0:-1]), half]))
+    return FourierSeries(f.domain.circumference, _Fresh(np.fft.rfft(f.values)[: n_max + 1] / f.n))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing synthesis raises below
 def from_fourier(series: FourierSeries, n: int) -> GridFunction:
     """Pointwise synthesis on the n-point periodic grid: ``n * irfft`` of
-    a_0..a_{n_max}. The real FFT takes a_{-n} to be conj(a_n), which the
-    series guarantees within HERMITIAN_TOL."""
-    n_max = series.n_max
-    if n < 2 * n_max + 1:
+    a_0..a_{n_max}, the real FFT taking a_{-n} to be conj(a_n). Raises
+    InvalidInputError when the samples overflow float64."""
+    if n < 2 * series.n_max + 1:
         raise TruncationTooLargeError(
-            f"need n >= {2 * n_max + 1} samples to hold modes up to {n_max}"
+            f"need n >= {2 * series.n_max + 1} samples to hold modes up to {series.n_max}"
         )
-    values = np.fft.irfft(series.coefficients[n_max:], n)
+    values = np.fft.irfft(series.half, n)
     values *= n  # the IEEE product n * irfft, in place
-    return GridFunction._adopt(Circle(series.circumference), values)
+    return GridFunction(Circle(series.circumference),
+                        _Fresh(values, "Fourier synthesis overflows float64; rescale the input"))
 
 
 # ---------------------------------------------------------------------------

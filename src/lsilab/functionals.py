@@ -341,15 +341,15 @@ class WeightPower(str, Enum):
 def weissler_bound(series: FourierSeries, power: WeightPower | str) -> float:
     """Fourier-side upper bound on the entropy of a nonnegative function.
 
-    Returns ``sum w(n) |a_n|^2 + M log sqrt(M)`` with ``M = sum |a_n|^2``
-    and ``w(n) = |n|`` or ``n^2``. Both the coefficients and the entropy
-    they are compared against use the unit-mass measure on the circle,
-    so M equals the squared L2 norm.
+    Returns ``sum w(n) |a_n|^2 + M log sqrt(M)`` with ``M = sum |a_n|^2`` and
+    ``w(n) = |n|`` or ``n^2``, the sum taken as 2 sum_{n>=1} over the a_0..a_{n_max}
+    that synthesis reads. The coefficients and the entropy they bound both use the
+    unit-mass measure on the circle, so M equals the squared L2 norm.
     """
     power = WeightPower(power)
-    n = np.arange(-series.n_max, series.n_max + 1)
-    weights = np.abs(n) if power is WeightPower.ABS_N else n.astype(float) ** 2
-    mode_term = float(weights @ (np.abs(series.coefficients) ** 2))
+    n = np.arange(1, series.n_max + 1)
+    weights = n if power is WeightPower.ABS_N else n.astype(float) ** 2
+    mode_term = 2.0 * float(weights @ (np.abs(series.half[1:]) ** 2))
     mass = series.mass()
     norm_term = 0.0 if mass == 0.0 else mass * 0.5 * math.log(mass)
     return mode_term + norm_term

@@ -28,6 +28,7 @@ from lsilab import (
     diaz_probe,
     differentiate,
     dirichlet_energy,
+    fourier_from_dict,
     from_callable,
     from_fourier,
     minimize_deficit,
@@ -36,7 +37,6 @@ from lsilab import (
     sample_family,
     sqrt_lift,
     to_fourier,
-    weissler_bound,
     write_grid_csv,
 )
 from lsilab import experiments
@@ -96,7 +96,7 @@ def _returned_functions(tmp_path, monkeypatch):
     f = _positive(UNIT_INTERVAL, 65)
     path = tmp_path / "f.csv"
     write_grid_csv(f, path)
-    series = FourierSeries(1.0, np.array([0.25, 1.0, 0.25], dtype=complex))
+    series = FourierSeries(1.0, np.array([1.0, 0.25], dtype=complex))
     monkeypatch.setattr(experiments, "DIAZ_FLAG_TOL", 1.0)  # every trial is a witness
     return {
         "from_callable": f,
@@ -188,23 +188,27 @@ def test_circle_energy_equals_the_complex_factor_expression(n, length, scale):
 @pytest.mark.parametrize("n", [33, 64, 65, 4096])
 @pytest.mark.parametrize("defect", [0.0, 1e-14], ids=["hermitian", "residue"])
 def test_from_fourier_equals_n_times_irfft(n, defect):
+    # two-sided data with a residue on a_{-8} synthesizes from the kept a_0..a_8
     rng = np.random.default_rng(n)
     half = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     half[0] = half[0].real
-    c = np.concatenate([np.conj(half[:0:-1]), half])
-    c[0] += defect
-    series = FourierSeries(0.7, c)
-    want = n * np.fft.irfft(c[8:], n)
+    entries = {k: a for k, a in enumerate(half)} | {-k: np.conj(half[k]) for k in range(1, 9)}
+    entries[-8] += defect
+    series = fourier_from_dict(0.7, entries)
+    np.testing.assert_array_equal(series.half, half)
+    want = n * np.fft.irfft(half, n)
     np.testing.assert_array_equal(from_fourier(series, n).values, want)
     assert from_fourier(series, n).domain == Circle(0.7)
 
 
 @pytest.mark.parametrize("n, n_max", [(64, 20), (65, 32), (4096, 1024), (4097, 2048)])
 def test_round_trip_equals_the_symmetric_part_synthesis(n, n_max):
-    # synthesis once took the conjugate-symmetric part of the coefficients
-    # first; on the exactly symmetric output of to_fourier it equals that, bit for bit
+    # synthesis once took the conjugate-symmetric part of a two-sided vector
+    # first; on the vector that to_fourier's a_0..a_{n_max} imply it equals
+    # today's synthesis, bit for bit
     f = from_callable(Circle(2.0), n, lambda x: np.exp(np.cos(math.pi * x) + 0.3 * np.sin(9 * x)))
-    c = to_fourier(f, n_max).coefficients
+    half = to_fourier(f, n_max).half
+    c = np.concatenate([np.conj(half[:0:-1]), half])
     symmetric = c - (0.5 * c - 0.5 * np.conj(c[::-1]))
     want = n * np.fft.irfft(symmetric[n_max:], n)
     np.testing.assert_array_equal(from_fourier(to_fourier(f, n_max), n).values, want)
@@ -219,16 +223,13 @@ def _peak_bytes(run) -> int:
         tracemalloc.stop()
 
 
-def test_symmetry_check_peak_stays_under_the_weissler_bound_pass():
-    # the check moved from weissler_bound into construction; it must not
-    # raise the high-water mark of a weissler run above the bound's own pass
-    rng = np.random.default_rng(1)
-    half = rng.standard_normal(2**16) + 1j * rng.standard_normal(2**16)
-    half[0] = half[0].real
-    c = np.concatenate([np.conj(half[:0:-1]), half])
-    series = FourierSeries(1.0, c)
-    check = _peak_bytes(lambda: FourierSeries(1.0, c)) - c.nbytes  # less the kept copy
-    assert 0 < check <= _peak_bytes(lambda: weissler_bound(series, "n_squared"))
+def test_sparse_two_sided_data_allocates_only_the_kept_half():
+    # a_0..a_{n_max} is one array of n_max + 1 entries; a two-sided vector,
+    # or a copy of the half, would double the peak
+    n_max = 2**20
+    half_bytes = (n_max + 1) * 16
+    peak = _peak_bytes(lambda: fourier_from_dict(1.0, {0: 1.0, n_max: 0.5 - 0.25j, -n_max: 0.5 + 0.25j}))
+    assert half_bytes <= peak < 1.25 * half_bytes
 
 
 # ---------------------------------------------------------------------------

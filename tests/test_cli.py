@@ -27,6 +27,8 @@ from lsilab.cli import COMMANDS, build_parser, main, parse_config
 from lsilab.experiments import DiazProbeReport, DiazQResult
 from lsilab.function_space import MAX_SAMPLES, write_csv
 
+from child import run_cli_limited
+
 
 @pytest.fixture
 def const_csv(tmp_path):
@@ -191,6 +193,37 @@ def test_weissler_rejects_non_real_series_in_one_line(tmp_path, capsys, im, defe
     assert captured.out == ""
     assert captured.err == f"lsilab: error: conjugate-symmetry defect {defect}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [256, 512, 4096, 8192])
+def test_weissler_reads_a_near_symmetric_series_as_its_symmetrized_twin(tmp_path, capsys, n):
+    # a_{-1} is 1e-5 off conj(a_1), under the 1e-4 tolerance at a_0 = 1e6: the
+    # bound and the synthesis both read a_0 and a_1, so the margin is the twin's
+    def run(a_minus_1):
+        path = tmp_path / f"series{a_minus_1}.json"
+        path.write_text(json.dumps({"circumference": 1.0, "coefficients": [
+            {"n": -1, "re": a_minus_1, "im": 0.0}, {"n": 0, "re": 1e6, "im": 0.0},
+            {"n": 1, "re": 87.2 + 1e-5, "im": 0.0}]}))
+        out = tmp_path / f"w{a_minus_1}.json"
+        assert main(["weissler", "--input", str(path), "--N", str(n), "--output", str(out)]) == 0
+        return out.read_bytes(), capsys.readouterr()
+
+    assert run(87.2) == run(87.2 + 1e-5)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([(0, 1e300, 0.0), (1, 1.7e308, 0.0), (-1, 1.7e308, 0.0)],
+     "Fourier synthesis overflows float64; rescale the input"),
+    ([(1, 1.7e308, 1.7e308), (-1, -1.7e308, 1.7e308)], "conjugate-symmetry defect inf"),
+], ids=["overflowing-synthesis", "overflowing-defect"])
+def test_weissler_on_coefficients_near_the_float64_limit_exits_one_in_one_line(
+        tmp_path, entries, message):
+    (tmp_path / "series.json").write_text(json.dumps({"circumference": 1.0, "coefficients": [
+        {"n": n, "re": re, "im": im} for n, re, im in entries]}))
+    proc = run_cli_limited(["weissler", "--input", "series.json", "--output", "w.json"], tmp_path)
+    assert proc.returncode == 1
+    assert (proc.stdout, proc.stderr) == ("", f"lsilab: error: {message}\n")
+    assert not (tmp_path / "w.json").exists()
 
 
 def test_weissler_rejects_sign_changing_synthesis(tmp_path):

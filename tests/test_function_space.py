@@ -23,6 +23,7 @@ from lsilab import (
     TruncationTooLargeError,
     UNIT_INTERVAL,
     UnknownFamilyError,
+    WeightPower,
     differentiate,
     fourier_from_dict,
     from_callable,
@@ -31,6 +32,7 @@ from lsilab import (
     read_grid_csv,
     sample_family,
     to_fourier,
+    weissler_bound,
     write_grid_csv,
 )
 from lsilab import function_space
@@ -285,9 +287,11 @@ def test_to_fourier_matches_complex_fft_and_is_exactly_hermitian(n, n_max):
     f = from_callable(Circle(2.0), n,
                       lambda x: np.exp(np.cos(math.pi * x) + 0.3 * np.sin(2 * math.pi * x)))
     s = to_fourier(f, n_max)
-    reference = np.fft.fft(f.values)[np.arange(-n_max, n_max + 1) % n] / n
-    np.testing.assert_allclose(s.coefficients, reference, rtol=0.0, atol=1e-15)
-    assert s.hermitian_defect() == 0.0
+    modes = np.arange(-n_max, n_max + 1)
+    reference = np.fft.fft(f.values)[modes % n] / n
+    np.testing.assert_allclose([s.coefficient(k) for k in modes], reference, rtol=0.0, atol=1e-15)
+    assert s.half.size == n_max + 1 and s.half[0].imag == 0.0
+    assert all(s.coefficient(-k) == s.coefficient(k).conjugate() for k in modes)
 
 
 def test_to_fourier_requires_circle_and_enough_samples():
@@ -314,17 +318,81 @@ def test_a_non_real_series_cannot_be_built():
         fourier_from_dict(1.0, {1: 1.0j, -1: 1.0j})
 
 
+@pytest.mark.parametrize("im", [1e-300, 1.0, -2.5])
+def test_a_series_with_a_non_real_a0_cannot_be_built(im):
+    with pytest.raises(NotHermitianError) as raised:
+        FourierSeries(1.0, [1.0 + im * 1j, 0.5])
+    assert str(raised.value) == f"a_0 must be real, got imaginary part {im:.3e}"
+    # two-sided data within the tolerance keeps the real part of a_0
+    s = fourier_from_dict(1.0, {-1: 0.5, 0: 1.0 + 1e-11j, 1: 0.5})
+    assert s.coefficient(0) == 1.0 and s.half[0].imag == 0.0
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 def test_conjugate_symmetry_tolerance_is_relative_to_the_largest_coefficient(scale):
     def series(defect):
-        return FourierSeries(1.0, scale * np.array([0.25, 1.0, 0.25]) + np.array([0, 0, defect]))
+        return fourier_from_dict(1.0, {-1: 0.25 * scale + defect, 0: scale, 1: 0.25 * scale})
 
     # the threshold is HERMITIAN_TOL * max(1, max|a_n|): 1e-4 at scale 1e6,
     # where an absolute 1e-10 would reject both defects, and 1e-10 below scale 1
     threshold = function_space.HERMITIAN_TOL * max(1.0, scale)
-    assert series(0.99 * threshold).hermitian_defect() == pytest.approx(0.99 * threshold)
+    accepted = series(0.99 * threshold)  # keeps a_0 and a_1; a_{-1} is conj(a_1)
+    np.testing.assert_array_equal(accepted.half, [scale, 0.25 * scale])
+    assert accepted.coefficient(-1) == 0.25 * scale
     with pytest.raises(NotHermitianError, match=r"^conjugate-symmetry defect 1\.010e"):
         series(1.01 * threshold)
+
+
+@pytest.mark.parametrize("im", [-1.0, 1.0])
+def test_symmetry_check_of_coefficients_near_the_float64_limit(im):
+    # the defect and the threshold are computed on scaled coefficients: the
+    # pair a_1 = 1.7e308 (1 + i), a_{-1} = 1.7e308 (-1 + i) once passed
+    # because both overflowed to inf
+    with pytest.raises(NotHermitianError, match=r"^conjugate-symmetry defect inf$"):
+        fourier_from_dict(1.0, {1: 1.7e308 * (1 + 1j), -1: 1.7e308 * (-1 + im * 1j)})
+    symmetric = fourier_from_dict(1.0, {1: 1.7e308 * (1 + 1j), -1: 1.7e308 * (1 - 1j)})
+    assert symmetric.coefficient(-1) == 1.7e308 * (1 - 1j)
+
+
+@pytest.mark.parametrize("entries", [{0: 1.0, -1: math.nan}, {0: 1.0, 1: math.inf, -1: math.inf},
+                                     {0: complex(1.0, math.nan)}])
+def test_non_finite_two_sided_data_is_rejected(entries):
+    with pytest.raises(InvalidInputError, match="^coefficients must be finite$"):
+        fourier_from_dict(1.0, entries)
+
+
+def test_from_fourier_overflow_raises_one_error():
+    series = fourier_from_dict(1.0, {0: 1e300, 1: 1.7e308, -1: 1.7e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="^Fourier synthesis overflows float64"):
+            from_fourier(series, 64)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=2, max_size=8),
+    st.floats(-6, 6),
+    st.lists(st.tuples(st.floats(-0.35, 0.35), st.floats(-0.35, 0.35)), min_size=8, max_size=8),
+)
+def test_negative_side_within_the_tolerance_changes_nothing(pairs, exponent, noise):
+    # perturbing a_{-n} by at most half the tolerance builds the same series:
+    # synthesis and both bounds read a_0..a_{n_max} only
+    scale = 10.0 ** exponent
+    exact = {0: complex(1.0 + abs(pairs[0][0]), 0.0) * scale}
+    for n, (re, im) in enumerate(pairs[1:], start=1):
+        exact[n] = complex(re, im) * scale
+        exact[-n] = complex(re, -im) * scale
+    tolerance = function_space.HERMITIAN_TOL * max(1.0, max(map(abs, exact.values())))
+    perturbed = dict(exact)
+    for n, (re, im) in zip(range(1, len(pairs)), noise):  # |complex(re, im)| <= 0.495
+        perturbed[-n] += complex(re, im) * tolerance
+    want, got = fourier_from_dict(1.0, exact), fourier_from_dict(1.0, perturbed)
+    np.testing.assert_array_equal(got.half, want.half)
+    np.testing.assert_array_equal(from_fourier(got, 64).values, from_fourier(want, 64).values)
+    for power in WeightPower:
+        assert weissler_bound(got, power) == weissler_bound(want, power)
+    assert got.mass() == want.mass()
 
 
 @pytest.mark.parametrize("n", [4096, 65536])
@@ -364,7 +432,7 @@ def test_fourier_round_trip(pairs):
     series = fourier_from_dict(1.0, entries)
     f = from_fourier(series, 256)
     back = to_fourier(f, series.n_max)
-    np.testing.assert_allclose(back.coefficients, series.coefficients, atol=1e-12)
+    np.testing.assert_allclose(back.half, series.half, atol=1e-12)
 
 
 def test_parseval_for_band_limited_function():
@@ -374,9 +442,10 @@ def test_parseval_for_band_limited_function():
     assert mass == pytest.approx(series.mass(), abs=1e-10)
 
 
-def test_hermitian_defect():
+def test_symmetry_defect_of_two_sided_data():
     good = fourier_from_dict(1.0, {1: 0.5 + 0.25j, -1: 0.5 - 0.25j})
-    assert good.hermitian_defect() == 0.0
+    np.testing.assert_array_equal(good.half, [0.0, 0.5 + 0.25j])
+    assert good.coefficient(-1) == 0.5 - 0.25j
     with pytest.raises(NotHermitianError, match=r"^conjugate-symmetry defect 2\.500e-01$"):
         fourier_from_dict(1.0, {1: 0.5, -1: 0.25})
 
@@ -686,4 +755,5 @@ def test_fourier_json_round_trip(tmp_path):
     write_fourier_json(series, path)
     back = read_fourier_json(path)
     assert back.circumference == series.circumference
-    np.testing.assert_allclose(back.coefficients, series.coefficients, atol=0)
+    np.testing.assert_array_equal(back.half, series.half)
+    assert [back.coefficient(n) for n in range(-3, 4)] == [series.coefficient(n) for n in range(-3, 4)]
