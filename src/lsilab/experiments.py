@@ -100,7 +100,7 @@ def sharpness_sweep(eps_list: Sequence[float], n: int) -> list[SweepRecord]:
 def _sweep_record(eps: float, cos_pi_x: np.ndarray, w: np.ndarray) -> SweepRecord:
     """One sweep member from the shared cos(pi x) and weights; its arrays die here."""
     f = GridFunction._adopt(UNIT_INTERVAL, _sharpness_values(eps, cos_pi_x))
-    ent, energy = entropy(f, w), dirichlet_energy(f, w)
+    ent, energy = entropy(f), dirichlet_energy(f, w)
     return SweepRecord(eps, energy, ent, energy / ent, energy - PI_SQUARED * ent)
 
 
@@ -432,7 +432,6 @@ def diaz_probe(
         raise ParamOutOfRangeError(f"need trials >= 1, got {trials}")
     for q in q_list:  # before any trial is drawn
         _check_q(q)
-    w = quadrature_weights(UNIT_INTERVAL, n)
     by_trial = []
     witnesses = {}
     for t in range(trials):
@@ -440,7 +439,7 @@ def diaz_probe(
             f = sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, n)
         else:
             f = random_admissible_function(UNIT_INTERVAL, modes, seed + t, n, normalize=False)
-        row = _diaz_deficits(_check_nonnegative(f.values), differentiate(f).values, w, q_list)
+        row = _diaz_deficits(_check_nonnegative(f.values), differentiate(f).values, q_list)
         if any(deficit < DIAZ_FLAG_TOL for deficit in row):
             witnesses[t] = f
         by_trial.append(row)

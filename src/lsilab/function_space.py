@@ -24,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, TextIO, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -193,6 +193,10 @@ def quadrature_weights(domain: Domain, n: int) -> np.ndarray:
     periodic integrands). Interval: composite Simpson, fourth order on
     both parities; when the panel count is odd, Simpson covers all but
     the last three panels, which Simpson's 3/8 rule closes.
+
+    Every integral walks :func:`_blocks` but three: the interval Dirichlet energy squares a
+    full derivative, the sharpness sweep shares that energy's vector across its members, and
+    the optimizer's gradient weights every node.
     """
     if isinstance(domain, Circle):
         return np.full(n, domain.circumference / n)
@@ -212,17 +216,27 @@ def _simpson_weights(domain: Interval, n: int, lo: int, hi: int) -> np.ndarray:
     return w
 
 
+def _blocks(domain: Domain, n: int) -> Iterator[tuple[int, int, np.ndarray | None]]:
+    """``(lo, hi, w)`` for each block of BLOCK nodes: w the Simpson weights of nodes lo..hi-1
+    on intervals (the blocks between share one array), None on circles (the step L/n)."""
+    w = None
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        if isinstance(domain, Interval) and not BLOCK < lo <= n - 4 - BLOCK:
+            w = _simpson_weights(domain, n, lo, hi)
+        yield lo, hi, w
+
+
 def integrate(f: GridFunction) -> float:
     """Integral of f over its domain (trapezoid on circles, Simpson on intervals)."""
     return _integral(f.domain, f.values)
 
 
-def _integral(domain: Domain, x: np.ndarray, w: np.ndarray | None = None) -> float:
-    """``w @ x`` with the Simpson weights w (built if None), or ``sum((L/n) * x)`` by blocks."""
-    if isinstance(domain, Circle):
-        step = domain.circumference / x.size
-        return sum(float(np.sum(x[lo:lo + BLOCK] * step)) for lo in range(0, x.size, BLOCK))
-    return float((quadrature_weights(domain, x.size) if w is None else w) @ x)
+def _integral(domain: Domain, x: np.ndarray) -> float:
+    """Sum over :func:`_blocks` of ``w @ x[lo:hi]``, or ``sum((L/n) * x[lo:hi])`` on circles."""
+    step = domain.length / x.size
+    return sum(float(np.sum(x[lo:hi] * step) if w is None else w @ x[lo:hi])
+               for lo, hi, w in _blocks(domain, x.size))
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +348,14 @@ class FourierSeries:
             return 0.0 + 0.0j
         return complex(self.half[n]) if n >= 0 else complex(self.half[-n]).conjugate()
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing norm raises below
     def mass(self) -> float:
-        """The squared L2 norm |a_0|^2 + 2 sum_{n>=1} |a_n|^2, summed as 2 sum_{n>=0} - |a_0|^2."""
-        return float(2.0 * np.sum(np.abs(self.half) ** 2) - abs(self.half[0]) ** 2)
+        """The squared L2 norm |a_0|^2 + 2 sum_{n>=1} |a_n|^2, summed as 2 sum_{n>=0} - |a_0|^2.
+        Raises InvalidInputError when it overflows float64."""
+        mass = float(2.0 * np.sum(np.abs(self.half) ** 2) - abs(self.half[0]) ** 2)
+        if not math.isfinite(mass):
+            raise InvalidInputError("squared L2 norm overflows float64; rescale the input")
+        return mass
 
 
 def fourier_from_dict(circumference: float, entries: dict[int, complex]) -> FourierSeries:

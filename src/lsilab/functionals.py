@@ -25,6 +25,10 @@ The entropy functional uses the convention t^2 * log t = 0 at t = 0,
 with values in [-1e-12, 0] clamped to zero to absorb synthesis
 round-off.
 
+Every sampled integral walks ``function_space._blocks``, one block of BLOCK
+nodes and its Simpson weights at a time, except the interval Dirichlet
+energy, which dots a full squared derivative with one full weight vector.
+
 The mass, entropy, energy and Fisher integrals, and the log-Sobolev and
 Wirtinger deficits built from them, raise :class:`InvalidInputError`
 when finite samples overflow float64, instead of returning inf or nan.
@@ -55,8 +59,9 @@ from .function_space import (
     FourierSeries,
     GridFunction,
     Interval,
+    UNIT_INTERVAL,
+    _blocks,
     _integral,
-    _simpson_weights,
     differentiate,
     is_unit_circle,
     is_unit_interval,
@@ -140,24 +145,19 @@ def _finite(value, name: str) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _square_integrals(f: GridFunction, w=None, log: bool = True) -> tuple[float, float, float]:
-    """``(integral f^2, integral f^2 log f, min f)``, unchecked, over blocks of BLOCK nodes:
-    dotted with slices of the weights ``w``, or of the Simpson weights on intervals (up to
-    BLOCK nodes exactly ``w @ integrand``), or summed after scaling the square by the step
-    L/n on circles. log f is 0 where f <= 0; the entropy reads 0 without ``log`` or if
-    min f < -NEGATIVE_TOL."""
-    values, n, interval = f.values, f.n, isinstance(f.domain, Interval)
+def _square_integrals(f: GridFunction, log: bool = True) -> tuple[float, float, float]:
+    """``(integral f^2, integral f^2 log f, min f)``, unchecked, in one walk over
+    :func:`_blocks`: each block dotted with its Simpson weights (up to BLOCK nodes exactly
+    ``w @ integrand``), or summed after scaling the square by the step L/n on circles.
+    log f is 0 where f <= 0; the entropy reads 0 without ``log`` or if min f < -NEGATIVE_TOL."""
+    values, n = f.values, f.n
     low = float(np.min(values)) if log else math.nan
     log = log and low >= -NEGATIVE_TOL
     square, scratch = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK))
-    mass, ent, weights = 0.0, 0.0, None
-    for lo in range(0, n, BLOCK):
-        v = values[lo:lo + BLOCK]
+    mass, ent = 0.0, 0.0
+    for lo, hi, weights in _blocks(f.domain, n):
+        v = values[lo:hi]
         sq = np.multiply(v, v, out=square[:v.size])
-        if w is not None:
-            weights = w[lo:lo + v.size]
-        elif interval and not BLOCK < lo <= n - 4 - BLOCK:  # the blocks between share weights
-            weights = _simpson_weights(f.domain, n, lo, lo + v.size)
         if weights is None:  # no partial sum of f^2 or f^2 log f overflows before the integral
             sq *= f.domain.circumference / n
         mass += float(np.sum(sq) if weights is None else weights @ sq)
@@ -168,9 +168,9 @@ def _square_integrals(f: GridFunction, w=None, log: bool = True) -> tuple[float,
     return mass, ent, low
 
 
-def entropy(f: GridFunction, w: Optional[np.ndarray] = None) -> float:
-    """integral of f^2 log f, with 0^2 log 0 = 0; ``w``: the weights of f's grid, if at hand."""
-    _, ent, low = _square_integrals(f, w)
+def entropy(f: GridFunction) -> float:
+    """integral of f^2 log f, with 0^2 log 0 = 0."""
+    _, ent, low = _square_integrals(f)
     _check_low(low)
     return _finite(ent, "entropy")
 
@@ -180,7 +180,9 @@ def dirichlet_energy(f: GridFunction, w: Optional[np.ndarray] = None) -> float:
     """integral of (f')^2; on circles the discrete Parseval sum ``(2L/N^2) * sum_{k>=1}
     |D_k|^2`` over the derivative spectrum D of one real FFT (the trapezoid rule on the
     spectral derivative), each block of BLOCK modes scaled by the real 2*pi*k/L. On
-    intervals ``w @ (f')^2``, ``w`` the Simpson weights (built here if not given)."""
+    intervals ``w @ (f')^2``, ``w`` the Simpson weights (built here if not given): the one
+    full weight vector of a report, as the derivative and its square are full-grid anyway,
+    and the one the sharpness sweep builds once for all of its members."""
     if isinstance(f.domain, Circle):
         n, spectrum = f.n, np.fft.rfft(f.values)
         if n % 2 == 0:
@@ -270,17 +272,16 @@ def _fisher_report(f: GridFunction) -> FunctionalReport:
     if low < MASS_TOL:
         raise NonPositiveFunctionError(f"minimum value {low:.3e}; need min >= {MASS_TOL:.0e}")
     d = differentiate(f).values  # before the integrals, as in _log_sobolev_report
-    w = quadrature_weights(f.domain, f.n) if isinstance(f.domain, Interval) else None
-    mass = _integral(f.domain, values, w)
+    mass = _integral(f.domain, values)
     m = mass / length
     if m <= MASS_TOL:
         raise ZeroMassError(f"mean {m:.3e} is numerically zero")
     scratch = np.log(values)
     scratch *= values
-    ent = _finite(_integral(f.domain, scratch, w), "integral of f log f")
+    ent = _finite(_integral(f.domain, scratch), "integral of f log f")
     np.multiply(d, d, out=scratch)
     scratch /= values
-    fisher = _finite(_integral(f.domain, scratch, w), "Fisher information")
+    fisher = _finite(_integral(f.domain, scratch), "Fisher information")
     return _report(mass, ent, fisher, 2.0 * c / length**2, length * m * math.log(m))
 
 
@@ -338,13 +339,15 @@ class WeightPower(str, Enum):
     N_SQUARED = "n_squared"
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing bound raises below
 def weissler_bound(series: FourierSeries, power: WeightPower | str) -> float:
     """Fourier-side upper bound on the entropy of a nonnegative function.
 
     Returns ``sum w(n) |a_n|^2 + M log sqrt(M)`` with ``M = sum |a_n|^2`` and
     ``w(n) = |n|`` or ``n^2``, the sum taken as 2 sum_{n>=1} over the a_0..a_{n_max}
     that synthesis reads. The coefficients and the entropy they bound both use the
-    unit-mass measure on the circle, so M equals the squared L2 norm.
+    unit-mass measure on the circle, so M equals the squared L2 norm. M or the bound
+    overflowing float64 raises InvalidInputError.
     """
     power = WeightPower(power)
     n = np.arange(1, series.n_max + 1)
@@ -352,7 +355,7 @@ def weissler_bound(series: FourierSeries, power: WeightPower | str) -> float:
     mode_term = 2.0 * float(weights @ (np.abs(series.half[1:]) ** 2))
     mass = series.mass()
     norm_term = 0.0 if mass == 0.0 else mass * 0.5 * math.log(mass)
-    return mode_term + norm_term
+    return _finite(mode_term + norm_term, "Fourier-side bound")
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +371,9 @@ def wirtinger_deficit(f: GridFunction) -> float:
     if not is_unit_interval(f.domain):
         raise DomainMismatchError("Wirtinger deficit requires the domain [0, 1]")
     energy = dirichlet_energy(f)  # before the integrals, as in _log_sobolev_report
-    w = quadrature_weights(f.domain, f.n)
-    mean = float(w @ f.values)  # interval length is 1
-    dev = f.values - mean
+    dev = f.values - _integral(f.domain, f.values)  # the mean: interval length is 1
     dev *= dev
-    return _finite(energy - PI_SQUARED * float(w @ dev), "Wirtinger deficit")
+    return _finite(energy - PI_SQUARED * _integral(f.domain, dev), "Wirtinger deficit")
 
 
 # ---------------------------------------------------------------------------
@@ -384,26 +385,27 @@ def _check_q(q: float) -> None:
         raise ParamOutOfRangeError(f"q must lie in (1, 2], got {q}")
 
 
-def _diaz_deficits(
-    values: np.ndarray, d: np.ndarray, w: np.ndarray, q_list: Sequence[float]
-) -> list[float]:
-    """The power-mean deficit for each q of one function on [0, 1], from its
-    clamped values, its derivative samples and the quadrature weights.
+def _diaz_deficits(values: np.ndarray, d: np.ndarray, q_list: Sequence[float]) -> list[float]:
+    """The power-mean deficit for each q of one function on [0, 1], from its clamped
+    values and its derivative samples, adding up both integrals of every q per block.
+    No full weight vector is built: one walk over :func:`_blocks` serves all of q_list.
 
     Each right-hand integrand is ``values * values + (q - 1.0) * d * d /
     pi^2`` in that order of operations, built in one scratch array.
     """
-    square = values * values
-    deficits = []
-    for q in q_list:
-        lhs = float(w @ values**q) ** (1.0 / q)
-        scratch = (q - 1.0) * d
-        scratch *= d
-        scratch /= PI_SQUARED
-        scratch += square
-        np.sqrt(scratch, out=scratch)
-        deficits.append(float(w @ scratch) - lhs)
-    return deficits
+    lhs, rhs = [0.0] * len(q_list), [0.0] * len(q_list)
+    for lo, hi, w in _blocks(UNIT_INTERVAL, values.size):
+        v, dv = values[lo:hi], d[lo:hi]
+        square = v * v
+        for i, q in enumerate(q_list):
+            lhs[i] += float(w @ v**q)
+            scratch = (q - 1.0) * dv
+            scratch *= dv
+            scratch /= PI_SQUARED
+            scratch += square
+            np.sqrt(scratch, out=scratch)
+            rhs[i] += float(w @ scratch)
+    return [r - m ** (1.0 / q) for q, m, r in zip(q_list, lhs, rhs)]
 
 
 def diaz_deficit(r: GridFunction, q: float) -> float:
@@ -417,6 +419,4 @@ def diaz_deficit(r: GridFunction, q: float) -> float:
     if not is_unit_interval(r.domain):
         raise DomainMismatchError("power-mean deficit requires the domain [0, 1]")
     _check_q(q)
-    values = _check_nonnegative(r.values)
-    w = quadrature_weights(r.domain, r.n)
-    return _diaz_deficits(values, differentiate(r).values, w, [q])[0]
+    return _diaz_deficits(_check_nonnegative(r.values), differentiate(r).values, [q])[0]

@@ -3,9 +3,10 @@ per-call formulas they replace, and tripwires on the shared work.
 
 The sharpness sweep evaluates cos(pi x) once per call, the power-mean
 probe differentiates each trial once for all exponents, the log-Sobolev
-report shares one weight vector and one square between the mass and the
-entropy, and the interval stencil and the closed-form families are
-built in place. Each result must equal the per-call one with ``==``.
+report shares one walk over the weight blocks and one square between the
+mass and the entropy, and the interval stencil and the closed-form
+families are built in place. Each result must equal the per-call one
+with ``==``.
 """
 
 import math
@@ -122,7 +123,7 @@ def test_probe_kernel_equals_per_exponent_deficits(clamped):
     # the per-call expressions the shared kernel replaced
     want = [float(w @ np.sqrt(v * v + (q - 1.0) * d * d / PI_SQUARED)) - float(w @ v**q) ** (1.0 / q)
             for q in q_list]
-    assert _diaz_deficits(_check_nonnegative(f.values), d, w, q_list) == want
+    assert _diaz_deficits(_check_nonnegative(f.values), d, q_list) == want  # 257 nodes: one block
     assert [diaz_deficit(f, q) for q in q_list] == want
 
 

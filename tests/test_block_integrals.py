@@ -1,11 +1,14 @@
-"""The report integrals walk the samples in blocks of BLOCK nodes.
+"""Every sampled integral walks the nodes in blocks of BLOCK.
 
 One walk gives the squared mass and the entropy, with slices of the
-Simpson weights on intervals and the step L/n times the sum on circles.
-Interval grids of up to BLOCK nodes must equal the full-grid ``w @
-integrand`` with ``==``; every grid must agree with a ``math.fsum``
+Simpson weights on intervals and the step L/n times the sum on circles;
+``integrate``, the Fisher report, the Wirtinger deficit and the
+power-mean deficits walk the same blocks. Grids of up to BLOCK nodes
+must equal the full-grid ``w @ integrand`` (``sum((L/n) * integrand)``
+on circles) with ``==``; every grid must agree with a ``math.fsum``
 reference of the same weighted integrand within :func:`_fsum_bound`.
-No computed float is frozen here.
+Apart from the interval Dirichlet energy, none of them builds the
+weights of more than BLOCK nodes. No computed float is frozen here.
 """
 
 import math
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 from lsilab import (
+    PI_SQUARED,
     Circle,
     GridFunction,
     Interval,
@@ -23,19 +27,29 @@ from lsilab import (
     NotNormalizedError,
     UNIT_CIRCLE,
     UNIT_INTERVAL,
+    diaz_deficit,
+    diaz_probe,
     differentiate,
     dirichlet_energy,
     entropy,
     from_callable,
     integrate,
     lsi_deficit_circle,
+    lsi_deficit_density_form,
     lsi_deficit_interval,
     reflect_to_circle,
     sample_family,
     squared_mass,
+    wirtinger_deficit,
 )
+from lsilab import function_space
 from lsilab.function_space import BLOCK, DERIVATIVE_OVERFLOW, quadrature_weights
-from lsilab.functionals import _check_nonnegative, _entropy_integrand, _log_sobolev_report
+from lsilab.functionals import (
+    _check_nonnegative,
+    _entropy_integrand,
+    _fisher_report,
+    _log_sobolev_report,
+)
 
 SIZES = [16, 17, 8191, 8192, 8193, 16387, 65537, 131072]
 DOMAINS = [UNIT_INTERVAL, Interval(-1.0, 2.5), UNIT_CIRCLE]
@@ -100,6 +114,83 @@ def test_interval_sums_up_to_one_block_equal_the_full_dot(domain, n, case):
     else:
         want = float(w @ _entropy_integrand(_check_nonnegative(values)))
     assert entropy(f) == want
+
+
+def _full(domain, x):
+    """The full-grid expression a blocked integral replaced: ``w @ x`` with the
+    Simpson weights on intervals, ``sum((L/n) * x)`` on circles."""
+    if isinstance(domain, Circle):
+        return float(np.sum(x * (domain.circumference / x.size)))
+    return float(quadrature_weights(domain, x.size) @ x)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("domain", DOMAINS, ids=["unit-interval", "interval", "circle"])
+def test_integrate_and_the_fisher_integrals_agree_with_the_full_grid_and_with_fsum(domain, n):
+    values = _values("positive", n)
+    f = GridFunction(domain, values)
+    d = differentiate(f).values
+    report = _fisher_report(f)
+    w = _weights(domain, n)
+    for got, x in [
+        (integrate(f), values),
+        (report.mass, values),
+        (report.entropy, values * np.log(values)),
+        (report.energy, d * d / values),
+    ]:
+        if n <= BLOCK:
+            assert got == _full(domain, x)
+        terms = w * x
+        assert abs(got - math.fsum(terms)) <= _fsum_bound(terms, n)
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("n", SIZES)
+def test_wirtinger_and_power_mean_deficits_agree_with_the_full_grid_and_with_fsum(n, case):
+    values = _values(case, n)
+    f = GridFunction(UNIT_INTERVAL, values)
+    w, eps = quadrature_weights(UNIT_INTERVAL, n), np.finfo(float).eps
+    energy = dirichlet_energy(f)
+    dev = values - integrate(f)  # the mean: ``w @ values`` up to BLOCK nodes, as checked above
+    terms = w * (dev * dev)
+    if n <= BLOCK:
+        assert wirtinger_deficit(f) == energy - PI_SQUARED * float(w @ (dev * dev))
+    want = energy - PI_SQUARED * math.fsum(terms)
+    slack = 2.0 * eps * (abs(energy) + PI_SQUARED * math.fsum(terms))  # the product and the difference
+    assert abs(wirtinger_deficit(f) - want) <= PI_SQUARED * _fsum_bound(terms, n) + slack
+
+    v, d = _check_nonnegative(values), differentiate(f).values
+    for q in (1.0001, 1.5, 2.0):
+        root = np.sqrt(v * v + (q - 1.0) * d * d / PI_SQUARED)
+        rhs_terms, lhs_terms = w * root, w * v**q
+        if n <= BLOCK:
+            assert diaz_deficit(f, q) == float(w @ root) - float(w @ v**q) ** (1.0 / q)
+        rhs, power = math.fsum(rhs_terms), math.fsum(lhs_terms)
+        lhs = power ** (1.0 / q)
+        # a relative error r of the power integral moves its q-th root by at most r
+        bound = _fsum_bound(rhs_terms, n) + lhs * _fsum_bound(lhs_terms, n) / power
+        assert abs(diaz_deficit(f, q) - (rhs - lhs)) <= bound + 2.0 * eps * (rhs + lhs)
+
+
+def test_only_the_interval_energy_builds_the_weights_of_more_than_one_block(monkeypatch):
+    n, sizes = 65537, []
+    simpson = function_space._simpson_weights
+
+    def recording(domain, n, lo, hi):
+        sizes.append(hi - lo)
+        return simpson(domain, n, lo, hi)
+
+    monkeypatch.setattr(function_space, "_simpson_weights", recording)
+    f = sample_family("sharpness", [0.3], UNIT_INTERVAL, n)
+    for call, full in [
+        (lambda: lsi_deficit_density_form(f), 0),
+        (lambda: wirtinger_deficit(f), 1),  # the vector of its dirichlet_energy
+        (lambda: diaz_deficit(f, 1.5), 0),
+        (lambda: diaz_probe([1.25, 2.0], 3, 7, n=n), 0),
+    ]:
+        sizes.clear()
+        call()
+        assert sizes and [size for size in sizes if size > BLOCK] == [n] * full
 
 
 def _circle_wave(n, scale):

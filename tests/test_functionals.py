@@ -331,6 +331,30 @@ def test_weissler_bound_worked_example():
     assert bound <= weissler_bound(series, WeightPower.N_SQUARED)
 
 
+@pytest.mark.parametrize("entries", [{0: 1e160}, {1: 1e160, -1: 1e160}], ids=["a0", "a1"])
+def test_overflowing_fourier_mass_raises_one_error_without_warnings(entries):
+    series = fourier_from_dict(1.0, entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (series.mass, lambda: weissler_bound(series, WeightPower.ABS_N),
+                         lambda: weissler_bound(series, WeightPower.N_SQUARED)):
+            with pytest.raises(InvalidInputError) as raised:
+                evaluate()
+            assert str(raised.value) == "squared L2 norm overflows float64; rescale the input"
+
+
+def test_a_bound_that_overflows_alone_raises_without_warnings():
+    # M = 2e300 and the |n| bound are finite; the n^2 mode term is 2e310
+    series = fourier_from_dict(1.0, {100_000: 1e150, -100_000: 1e150})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert series.mass() == pytest.approx(2e300, rel=1e-15)
+        assert math.isfinite(weissler_bound(series, WeightPower.ABS_N))
+        with pytest.raises(InvalidInputError) as raised:
+            weissler_bound(series, WeightPower.N_SQUARED)
+    assert str(raised.value) == "Fourier-side bound overflows float64; rescale the input"
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_weissler_dominance_random(seed):
     f = random_admissible_function(Circle(1.0), 32, seed, 1024, normalize=False)
