@@ -403,7 +403,11 @@ def random_admissible_function(
     normalize: bool = True,
 ) -> GridFunction:
     """Random trigonometric polynomial shifted so its minimum is
-    ADMISSIBLE_SHIFT and, optionally, normalized to unit squared mass."""
+    ADMISSIBLE_SHIFT and, optionally, normalized to unit squared mass.
+
+    The polynomial is ``sample_family(RANDOM_TRIG, [seed, modes], domain, n)``:
+    a cosine series on intervals, and on circles a Fourier series synthesized
+    by :func:`from_fourier`, which needs 2*modes + 1 <= n."""
     raw = sample_family(Family.RANDOM_TRIG, [seed, modes], domain, n)
     values = raw.values - float(np.min(raw.values))
     values += ADMISSIBLE_SHIFT

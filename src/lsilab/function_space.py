@@ -452,6 +452,18 @@ def sample_family(
       WANG         [eps]          exp(-eps*cos(pi*x)) on [0, 1], 0 < eps < 1
       RANDOM_TRIG  [seed, modes]  trigonometric polynomial with N(0,1)/k^2
                                   coefficients drawn from the seed
+
+    Integer parameters (k, seed, modes) must be finite whole numbers, and
+    modes <= MAX_SAMPLES; anything else raises ParamOutOfRangeError.
+
+    RANDOM_TRIG draws c_0 and then, for k = 1..modes, one coefficient c_k on
+    intervals or a pair (alpha_k, beta_k) on circles, all N(0, 1) from
+    ``default_rng(seed)``. On an interval it samples the cosine series
+    c_0 + sum c_k cos(k*pi*u) / k^2. On a circle it is the Fourier series
+    a_0 = c_0, a_k = (alpha_k - i*beta_k) / (2 k^2), that is
+    c_0 + sum (alpha_k cos(2*pi*k*u) + beta_k sin(2*pi*k*u)) / k^2,
+    synthesized by :func:`from_fourier`; so a circle needs 2*modes + 1 <= n,
+    or TruncationTooLargeError is raised before anything is drawn.
     """
     try:
         family = Family(family)
@@ -467,9 +479,7 @@ def sample_family(
 
     if family is Family.COSINE_MODE:
         (k,) = _family_params(family, params, 1)
-        mode = int(k)
-        if mode != k or mode < 1:
-            raise ParamOutOfRangeError("cosine mode index must be an integer >= 1")
+        mode = _whole(k, 1, "cosine mode index must be an integer >= 1")
         u = _unit_coordinate(domain, n)
         u *= math.pi * mode if isinstance(domain, Interval) else 2.0 * math.pi * mode
         return GridFunction._adopt(domain, np.cos(u, out=u))
@@ -491,23 +501,29 @@ def sample_family(
 
     # RANDOM_TRIG
     seed, modes = _family_params(family, params, 2)
-    seed_i, modes_i = int(seed), int(modes)
-    if seed_i != seed or seed_i < 0:
-        raise ParamOutOfRangeError("seed must be a nonnegative integer")
-    if modes_i != modes or modes_i < 1:
-        raise ParamOutOfRangeError("mode count must be an integer >= 1")
+    seed_i = _whole(seed, 0, "seed must be a nonnegative integer")
+    modes_i = _whole(modes, 1, "mode count must be an integer >= 1")
+    if modes_i > MAX_SAMPLES:
+        raise ParamOutOfRangeError(f"mode count must be at most {MAX_SAMPLES}, got {modes_i}")
+    if isinstance(domain, Circle) and 2 * modes_i + 1 > n:
+        raise TruncationTooLargeError(
+            f"2*modes + 1 = {2 * modes_i + 1} exceeds the {n} grid samples"
+        )
     rng = np.random.default_rng(seed_i)
+    if isinstance(domain, Circle):
+        # one draw gives the same numbers as drawing c_0 and then each pair in turn
+        draws = rng.standard_normal(2 * modes_i + 1)
+        half = np.empty(modes_i + 1, dtype=complex)
+        half[0] = draws[0]
+        half[1:] = draws[1::2] - 1j * draws[2::2]
+        half[1:] /= 2.0 * np.arange(1, modes_i + 1, dtype=float) ** 2
+        return from_fourier(FourierSeries(domain.circumference, _Fresh(half)), n)
+    # Cosine-only series: derivative vanishes at both endpoints, which
+    # keeps the even reflection of these samples smooth.
     u = _unit_coordinate(domain, n)
     values = np.full(n, rng.standard_normal())
-    if isinstance(domain, Interval):
-        # Cosine-only series: derivative vanishes at both endpoints, which
-        # keeps the even reflection of these samples smooth.
-        for k in range(1, modes_i + 1):
-            values += rng.standard_normal() / k**2 * np.cos(k * math.pi * u)
-    else:
-        for k in range(1, modes_i + 1):
-            a, b = rng.standard_normal(2)
-            values += (a * np.cos(2.0 * math.pi * k * u) + b * np.sin(2.0 * math.pi * k * u)) / k**2
+    for k in range(1, modes_i + 1):
+        values += rng.standard_normal() / k**2 * np.cos(k * math.pi * u)
     return GridFunction._adopt(domain, values)
 
 
@@ -539,6 +555,17 @@ def _family_params(family: Family, params: list[float], count: int) -> list[floa
             f"family {family.value} takes {count} parameter(s), got {len(params)}"
         )
     return params
+
+
+def _whole(value: float, least: int, message: str) -> int:
+    """``value`` as an int, or ParamOutOfRangeError(message) unless it is a whole number >= least."""
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # inf, nan
+        raise ParamOutOfRangeError(message) from None
+    if whole != value or whole < least:
+        raise ParamOutOfRangeError(message)
+    return whole
 
 
 def _check_eps(eps: float) -> None:
