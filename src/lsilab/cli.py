@@ -19,7 +19,7 @@ takes only the flags it reads, as declared in :data:`COMMANDS`
 
 Sizes are capped at MAX_SAMPLES = 2**24, and a larger one exits 1 before it
 is allocated: --N, the data rows of a grid CSV, the 2*max|n| + 1
-coefficients of a Fourier JSON, and the N * --n-modes entries of each
+coefficients of a Fourier JSON, and the N * --n-modes entries of the
 ``optimize`` basis matrix.
 
 Relative output paths resolve against $LSILAB_OUTPUT_DIR when it is set.

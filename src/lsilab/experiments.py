@@ -39,12 +39,12 @@ from .function_space import (
     write_grid_csv,
 )
 from .functionals import (
-    FOUR_PI_SQUARED,
     PI_SQUARED,
     _check_nonnegative,
     _check_q,
     _diaz_deficits,
     _entropy_integrand,
+    _geometry,
     dirichlet_energy,
     entropy,
     squared_mass,
@@ -93,14 +93,13 @@ def sharpness_sweep(eps_list: Sequence[float], n: int) -> list[SweepRecord]:
     for eps in eps_list:
         _check_eps(eps)
     cos_pi_x = _cos_pi_x(UNIT_INTERVAL, n)
-    w = quadrature_weights(UNIT_INTERVAL, n)
-    return [_sweep_record(eps, cos_pi_x, w) for eps in eps_list]
+    return [_sweep_record(eps, cos_pi_x) for eps in eps_list]
 
 
-def _sweep_record(eps: float, cos_pi_x: np.ndarray, w: np.ndarray) -> SweepRecord:
-    """One sweep member from the shared cos(pi x) and weights; its arrays die here."""
+def _sweep_record(eps: float, cos_pi_x: np.ndarray) -> SweepRecord:
+    """One sweep member from the shared cos(pi x); its arrays die here."""
     f = GridFunction._adopt(UNIT_INTERVAL, _sharpness_values(eps, cos_pi_x))
-    ent, energy = entropy(f), dirichlet_energy(f, w)
+    ent, energy = entropy(f), dirichlet_energy(f)
     return SweepRecord(eps, energy, ent, energy / ent, energy - PI_SQUARED * ent)
 
 
@@ -145,14 +144,9 @@ def wang_ode_residual(eps: float, n: int) -> float:
     if n < 513:
         raise ParamOutOfRangeError(f"need n >= 513, got {n}")
     f = sample_family(Family.WANG, [eps], UNIT_INTERVAL, n)
-    return _ode_residual(f, eps)
-
-
-def _ode_residual(f: GridFunction, eps: float) -> float:
     first = differentiate(f)
     second = differentiate(first)
-    x = f.x
-    lhs = second.values - math.pi * eps * np.sin(math.pi * x) * first.values
+    lhs = second.values - math.pi * eps * np.sin(math.pi * f.x) * first.values
     rhs = -PI_SQUARED * f.values * np.log(f.values)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -187,34 +181,28 @@ class OptimizerResult:
 RATIO_ENTROPY_FLOOR = 1e-10
 
 
-def _basis_matrices(domain: Domain, n_modes: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _basis_matrix(domain: Domain, n_modes: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The optimizer basis on the grid, and the Dirichlet energy of each column.
+
+    On [0, 1] column m is cos(m pi x). On the circle column 0 is 1 and
+    columns 2m - 1 and 2m are cos(2 pi m x) and sin(2 pi m x). Column j
+    solves -u'' = c m_j^2 u, c the sharp constant, and the columns are
+    orthogonal with squared mass 1/2 for j > 0. So the energy of
+    ``basis @ coefficients`` is exactly the sum of c m_j^2 / 2 * coefficients_j^2.
+    """
     x = grid_points(domain, n)
     basis = np.empty((n, n_modes))
-    deriv = np.empty((n, n_modes))
     basis[:, 0] = 1.0
-    deriv[:, 0] = 0.0
     if isinstance(domain, Interval):
+        harmonics = np.arange(n_modes)
         for k in range(1, n_modes):
             basis[:, k] = np.cos(k * math.pi * x)
-            deriv[:, k] = -k * math.pi * np.sin(k * math.pi * x)
     else:
+        harmonics = (np.arange(n_modes) + 1) // 2
         for col in range(1, n_modes):
-            k = (col + 1) // 2
-            phase = 2.0 * math.pi * k * x
-            if col % 2 == 1:
-                basis[:, col] = np.cos(phase)
-                deriv[:, col] = -2.0 * math.pi * k * np.sin(phase)
-            else:
-                basis[:, col] = np.sin(phase)
-                deriv[:, col] = 2.0 * math.pi * k * np.cos(phase)
-    return basis, deriv
-
-
-def synthesize_coefficients(domain: Domain, coefficients: Sequence[float], n: int) -> GridFunction:
-    """Grid samples of |c_0 + sum c_k basis_k| for the optimizer basis."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    basis, _ = _basis_matrices(domain, coefficients.size, n)
-    return GridFunction._adopt(domain, np.abs(basis @ coefficients))
+            phase = 2.0 * math.pi * harmonics[col] * x
+            basis[:, col] = np.cos(phase) if col % 2 == 1 else np.sin(phase)
+    return basis, 0.5 * _geometry(domain)[1] * np.square(harmonics)
 
 
 def minimize_deficit(
@@ -239,35 +227,29 @@ def minimize_deficit(
     sharp constants make ``best_ratio`` approach pi^2 (interval) or
     4 pi^2 (circle) from above. That needs a grid that resolves the
     basis, 2 * n_modes <= n: on a coarser grid the modes alias and the
-    deficit can read below zero. Each of the basis matrices holds
-    n * n_modes floats; more than MAX_SAMPLES raises ParamOutOfRangeError
-    before anything is allocated.
+    deficit can read below zero. The basis matrix holds n * n_modes
+    floats; more than MAX_SAMPLES raises ParamOutOfRangeError before
+    anything is allocated.
     """
     if n_modes < 2:
         raise ParamOutOfRangeError(f"need n_modes >= 2, got {n_modes}")
     if max_iters < 1:
         raise ParamOutOfRangeError("need max_iters >= 1")
-    if is_unit_interval(domain):
-        constant = PI_SQUARED
-        if n is None:
-            n = 2049
-    elif is_unit_circle(domain):
-        constant = FOUR_PI_SQUARED
-        if n is None:
-            n = 2048
-    else:
+    if not (is_unit_interval(domain) or is_unit_circle(domain)):
         raise ParamOutOfRangeError("domain must be [0, 1] or the unit circle")
+    _, constant = _geometry(domain)
+    if n is None:
+        n = 2049 if isinstance(domain, Interval) else 2048
     if 2 * n_modes > n:
         raise ParamOutOfRangeError(f"{n_modes} modes need N >= {2 * n_modes}, got {n}")
-    if n * n_modes > MAX_SAMPLES:  # each basis matrix holds n * n_modes floats
+    if n * n_modes > MAX_SAMPLES:  # the basis matrix holds n * n_modes floats
         raise ParamOutOfRangeError(
             f"a basis of {n_modes} modes on {n} samples has {n * n_modes} entries, "
             f"more than {MAX_SAMPLES}"
         )
 
-    basis, deriv = _basis_matrices(domain, n_modes, n)
+    basis, energy_weights = _basis_matrix(domain, n_modes, n)
     w = quadrature_weights(domain, n)
-    energy_form = deriv.T @ (deriv * w[:, None])
     mass_form = basis.T @ (basis * w[:, None])
 
     rng = np.random.default_rng(seed)
@@ -287,7 +269,7 @@ def minimize_deficit(
 
     def evaluate(c):
         ent = float(w @ _entropy_integrand(np.abs(basis @ c)))
-        energy = float(c @ energy_form @ c)
+        energy = float(energy_weights @ np.square(c))
         return energy, ent, energy - constant * ent
 
     def gradient(c):
@@ -295,7 +277,7 @@ def minimize_deficit(
         ag = np.abs(g)
         # d/dg of g^2 log|g| is 2 g log|g| + g, zero at g = 0
         ent_slope = np.where(ag > 0.0, 2.0 * g * np.log(np.where(ag > 0.0, ag, 1.0)) + g, 0.0)
-        return 2.0 * (energy_form @ c) - constant * (basis.T @ (w * ent_slope))
+        return 2.0 * energy_weights * c - constant * (basis.T @ (w * ent_slope))
 
     c = normalize(c)
     energy, ent, deficit = evaluate(c)

@@ -194,9 +194,8 @@ def quadrature_weights(domain: Domain, n: int) -> np.ndarray:
     both parities; when the panel count is odd, Simpson covers all but
     the last three panels, which Simpson's 3/8 rule closes.
 
-    Every integral walks :func:`_blocks` but three: the interval Dirichlet energy squares a
-    full derivative, the sharpness sweep shares that energy's vector across its members, and
-    the optimizer's gradient weights every node.
+    Every integral walks :func:`_blocks` but two: the interval Dirichlet energy squares a
+    full derivative, and the optimizer's gradient weights every node.
     """
     if isinstance(domain, Circle):
         return np.full(n, domain.circumference / n)

@@ -176,13 +176,12 @@ def entropy(f: GridFunction) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def dirichlet_energy(f: GridFunction, w: Optional[np.ndarray] = None) -> float:
+def dirichlet_energy(f: GridFunction) -> float:
     """integral of (f')^2; on circles the discrete Parseval sum ``(2L/N^2) * sum_{k>=1}
     |D_k|^2`` over the derivative spectrum D of one real FFT (the trapezoid rule on the
     spectral derivative), each block of BLOCK modes scaled by the real 2*pi*k/L. On
-    intervals ``w @ (f')^2``, ``w`` the Simpson weights (built here if not given): the one
-    full weight vector of a report, as the derivative and its square are full-grid anyway,
-    and the one the sharpness sweep builds once for all of its members."""
+    intervals ``w @ (f')^2``, ``w`` the Simpson weights: the one full weight vector of a
+    report, as the derivative and its square are full-grid anyway."""
     if isinstance(f.domain, Circle):
         n, spectrum = f.n, np.fft.rfft(f.values)
         if n % 2 == 0:
@@ -197,8 +196,7 @@ def dirichlet_energy(f: GridFunction, w: Optional[np.ndarray] = None) -> float:
             total += np.vdot(d, d).real
         return _finite(2.0 * f.domain.circumference * total, "Dirichlet energy")
     square = np.square(differentiate(f).values)  # the derivative is freed before the weights
-    w = quadrature_weights(f.domain, f.n) if w is None else w
-    return _finite(w @ square, "Dirichlet energy")
+    return _finite(quadrature_weights(f.domain, f.n) @ square, "Dirichlet energy")
 
 
 def squared_mass(f: GridFunction) -> float:

@@ -41,7 +41,7 @@ from lsilab import (
 )
 from lsilab import experiments
 from lsilab.cli import main
-from lsilab.experiments import random_admissible_function, synthesize_coefficients
+from lsilab.experiments import random_admissible_function
 from lsilab.function_space import BLOCK, MAX_SAMPLES
 from lsilab.functionals import _finite
 
@@ -115,7 +115,6 @@ def _returned_functions(tmp_path, monkeypatch):
         "sqrt_lift": sqrt_lift(f)[0],
         "random_admissible": random_admissible_function(UNIT_INTERVAL, 4, 1, 65),
         "random_admissible-raw": random_admissible_function(UNIT_INTERVAL, 4, 1, 65, normalize=False),
-        "synthesize_coefficients": synthesize_coefficients(UNIT_CIRCLE, [1.0, 0.2, 0.1], 32),
         "diaz-witness": diaz_probe([1.5], 3, 0, n=65, modes=4).counterexamples[-1][2],
     }
 
@@ -298,9 +297,9 @@ def test_diaz_exit_three_writes_the_witnesses_of_per_trial_sampling(monkeypatch,
 ], ids=["interval-max-N", "interval-many-modes", "circle-one-row-over"])
 def test_oversized_basis_is_rejected_before_it_is_built(monkeypatch, domain, n, n_modes):
     def refuse(*args):
-        raise AssertionError("_basis_matrices called for a rejected size")
+        raise AssertionError("_basis_matrix called for a rejected size")
 
-    monkeypatch.setattr(experiments, "_basis_matrices", refuse)
+    monkeypatch.setattr(experiments, "_basis_matrix", refuse)
     with pytest.raises(ParamOutOfRangeError, match=f"has {n * n_modes} entries, more than {MAX_SAMPLES}$"):
         minimize_deficit(domain, n_modes, 0, 10, n=n)
 

@@ -28,10 +28,10 @@ from lsilab.experiments import (
     DiazProbeReport,
     DiazQResult,
     SWEEP_CSV_HEADER,
+    _basis_matrix,
     mode_quotient,
-    synthesize_coefficients,
 )
-from lsilab.function_space import write_csv, write_json
+from lsilab.function_space import quadrature_weights, write_csv, write_json
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +198,38 @@ def test_optimizer_rejects_more_modes_than_the_grid_resolves(domain):
         minimize_deficit(domain, 32, 0, 3, n=63)
 
 
-def test_synthesize_coefficients_matches_optimizer_basis():
-    f = synthesize_coefficients(UNIT_INTERVAL, [1.0, 0.5], 65)
-    expected = np.abs(1.0 + 0.5 * np.cos(math.pi * f.x))
-    np.testing.assert_allclose(f.values, expected, atol=1e-14)
+def _analytic_columns(domain, n_modes, n):
+    """The optimizer basis and its derivative, column by column from the formulas."""
+    x = np.linspace(0.0, 1.0, n) if domain == UNIT_INTERVAL else np.arange(n) / n
+    basis, deriv = [np.ones(n)], [np.zeros(n)]
+    for col in range(1, n_modes):
+        if domain == UNIT_INTERVAL:
+            freq, phase = col * math.pi, 0.0
+        else:  # cos(2 pi k x) at odd columns, sin(2 pi k x) = cos(2 pi k x - pi/2) at even
+            freq, phase = 2.0 * math.pi * ((col + 1) // 2), (col % 2 == 0) * math.pi / 2
+        basis.append(np.cos(freq * x - phase))
+        deriv.append(-freq * np.sin(freq * x - phase))
+    return np.column_stack(basis), np.column_stack(deriv)
+
+
+@pytest.mark.parametrize("domain, n", [(UNIT_INTERVAL, 65), (UNIT_CIRCLE, 64)])
+def test_basis_matrix_matches_the_formulas(domain, n):
+    basis, _ = _basis_matrix(domain, 9, n)
+    np.testing.assert_allclose(basis, _analytic_columns(domain, 9, n)[0], rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_modes", [2, 9, 16])
+@pytest.mark.parametrize("domain, n", [
+    (UNIT_INTERVAL, 65), (UNIT_INTERVAL, 2049), (UNIT_CIRCLE, 2048), (UNIT_CIRCLE, 2049),
+])
+def test_closed_form_energy_matches_the_assembled_form(domain, n, n_modes):
+    # the optimizer's energy sum_j e_j c_j^2 against c^T (D^T W D) c, D the analytic
+    # derivative columns and W the quadrature weights
+    _, deriv = _analytic_columns(domain, n_modes, n)
+    form = deriv.T @ (deriv * quadrature_weights(domain, n)[:, None])
+    _, energy_weights = _basis_matrix(domain, n_modes, n)
+    for c in np.random.default_rng(n_modes).standard_normal((5, n_modes)):
+        assert energy_weights @ np.square(c) == pytest.approx(c @ form @ c, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

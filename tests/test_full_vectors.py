@@ -12,10 +12,9 @@ import lsilab
 
 PACKAGE = Path(lsilab.__file__).parent
 
-#: The interval energy dots the square of a full derivative, the sweep shares
-#: that one vector across its members, and the optimizer's gradient weights
-#: every node.
-FULL_VECTOR_HOLDERS = {"dirichlet_energy", "sharpness_sweep", "minimize_deficit"}
+#: The interval energy dots the square of a full derivative, and the
+#: optimizer's gradient weights every node.
+FULL_VECTOR_HOLDERS = {"dirichlet_energy", "minimize_deficit"}
 
 #: ``_blocks`` walks the nodes; the circle energy walks its Fourier modes.
 BLOCK_LOOPS = {"_blocks", "dirichlet_energy"}
