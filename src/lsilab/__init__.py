@@ -79,67 +79,3 @@ from .experiments import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Circle",
-    "DiazProbeReport",
-    "Domain",
-    "DomainMismatchError",
-    "EvenSampleCountError",
-    "FOUR_PI_SQUARED",
-    "Family",
-    "FourierSeries",
-    "FunctionalReport",
-    "GridFunction",
-    "InsufficientDataError",
-    "Interval",
-    "InvalidInputError",
-    "LsiLabError",
-    "NegativeFunctionError",
-    "NonPositiveFunctionError",
-    "NotHermitianError",
-    "NotNormalizedError",
-    "OptimizerResult",
-    "PI_SQUARED",
-    "ParamOutOfRangeError",
-    "SweepRecord",
-    "TransformCertificate",
-    "TruncationTooLargeError",
-    "UNIT_CIRCLE",
-    "UNIT_INTERVAL",
-    "UnknownFamilyError",
-    "WeightPower",
-    "ZeroMassError",
-    "affine_normalize",
-    "diaz_deficit",
-    "diaz_probe",
-    "differentiate",
-    "dirichlet_energy",
-    "eigenvalue_check",
-    "entropy",
-    "extrapolate_constant",
-    "fourier_from_dict",
-    "from_callable",
-    "from_fourier",
-    "grid_points",
-    "integrate",
-    "lsi_deficit_circle",
-    "lsi_deficit_density_form",
-    "lsi_deficit_general",
-    "lsi_deficit_interval",
-    "minimize_deficit",
-    "random_admissible_function",
-    "read_fourier_json",
-    "read_grid_csv",
-    "reflect_to_circle",
-    "sample_family",
-    "sharpness_sweep",
-    "sqrt_lift",
-    "squared_mass",
-    "to_fourier",
-    "wang_ode_residual",
-    "weissler_bound",
-    "wirtinger_deficit",
-    "write_fourier_json",
-    "write_grid_csv",
-]

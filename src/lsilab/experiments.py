@@ -25,6 +25,7 @@ from .function_space import (
     Interval,
     UNIT_INTERVAL,
     _check_eps,
+    _check_size,
     _cos_pi_x,
     _sharpness_values,
     differentiate,
@@ -83,12 +84,14 @@ def sharpness_sweep(eps_list: Sequence[float], n: int) -> list[SweepRecord]:
     Records are sorted by epsilon, descending. The ratio
     energy/entropy approaches pi^2 from above as epsilon decreases.
 
-    Every epsilon is checked before any grid work. Each record equals, bit
+    Every epsilon is checked, and n <= MAX_SAMPLES (ParamOutOfRangeError
+    otherwise), before any grid work. Each record equals, bit
     for bit, :func:`dirichlet_energy` and :func:`entropy` of
     ``sample_family(Family.SHARPNESS, [eps], UNIT_INTERVAL, n)``.
     """
     if n < 2049:
         raise ParamOutOfRangeError(f"sweep needs n >= 2049, got {n}")
+    _check_size(n)
     eps_list = sorted(eps_list, reverse=True)
     for eps in eps_list:
         _check_eps(eps)
@@ -229,7 +232,9 @@ def minimize_deficit(
     basis, 2 * n_modes <= n: on a coarser grid the modes alias and the
     deficit can read below zero. The basis matrix holds n * n_modes
     floats; more than MAX_SAMPLES raises ParamOutOfRangeError before
-    anything is allocated.
+    anything is allocated. So does a non-finite ``init`` entry, and an
+    ``init`` whose squared mass overflows float64 raises it when the
+    first iterate is normalized.
     """
     if n_modes < 2:
         raise ParamOutOfRangeError(f"need n_modes >= 2, got {n_modes}")
@@ -248,21 +253,26 @@ def minimize_deficit(
             f"more than {MAX_SAMPLES}"
         )
 
-    basis, energy_weights = _basis_matrix(domain, n_modes, n)
-    w = quadrature_weights(domain, n)
-    mass_form = basis.T @ (basis * w[:, None])
-
     rng = np.random.default_rng(seed)
     if init is not None:
         c = np.asarray(init, dtype=float).copy()
         if c.size != n_modes:
             raise ParamOutOfRangeError(f"init must have {n_modes} coefficients")
+        if not np.all(np.isfinite(c)):
+            raise ParamOutOfRangeError("init coefficients must be finite")
     else:
         decay = np.array([1.0 / (1 + (k + 1) // 2) ** 2 for k in range(n_modes)])
         c = rng.standard_normal(n_modes) * decay
 
+    basis, energy_weights = _basis_matrix(domain, n_modes, n)
+    w = quadrature_weights(domain, n)
+    mass_form = basis.T @ (basis * w[:, None])
+
     def normalize(c):
-        mass = c @ mass_form @ c
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mass raises below
+            mass = c @ mass_form @ c
+        if not math.isfinite(mass):
+            raise ParamOutOfRangeError("squared mass of the iterate overflows float64; rescale init")
         if mass <= 0.0:
             raise ParamOutOfRangeError("iterate collapsed to the zero function")
         return c / math.sqrt(mass)

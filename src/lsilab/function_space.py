@@ -98,6 +98,16 @@ UNIT_INTERVAL = Interval(0.0, 1.0)
 UNIT_CIRCLE = Circle(1.0)
 
 
+def _check_size(n: int, limit: int = MAX_SAMPLES) -> None:
+    """Refuse a grid of more than MAX_SAMPLES nodes before anything is allocated.
+
+    The limit is bound at import, so a test that lowers ``MAX_SAMPLES`` to
+    reach the CSV reader's row cap can still sample a longer fixture.
+    """
+    if n > limit:
+        raise ParamOutOfRangeError(f"need n <= {limit} samples, got {n}")
+
+
 def is_unit_interval(domain: Domain) -> bool:
     return (
         isinstance(domain, Interval)
@@ -178,7 +188,8 @@ class GridFunction:
 
 
 def from_callable(domain: Domain, n: int, fn) -> GridFunction:
-    """Sample a callable on the domain's grid."""
+    """Sample a callable on the domain's grid; n <= MAX_SAMPLES."""
+    _check_size(n)
     return GridFunction(domain, fn(grid_points(domain, n)))
 
 
@@ -404,7 +415,9 @@ def to_fourier(f: GridFunction, n_max: int) -> FourierSeries:
 def from_fourier(series: FourierSeries, n: int) -> GridFunction:
     """Pointwise synthesis on the n-point periodic grid: ``n * irfft`` of
     a_0..a_{n_max}, the real FFT taking a_{-n} to be conj(a_n). Raises
-    InvalidInputError when the samples overflow float64."""
+    ParamOutOfRangeError for n > MAX_SAMPLES, before anything is allocated,
+    and InvalidInputError when the samples overflow float64."""
+    _check_size(n)
     if n < 2 * series.n_max + 1:
         raise TruncationTooLargeError(
             f"need n >= {2 * series.n_max + 1} samples to hold modes up to {series.n_max}"
@@ -453,7 +466,8 @@ def sample_family(
                                   coefficients drawn from the seed
 
     Integer parameters (k, seed, modes) must be finite whole numbers, and
-    modes <= MAX_SAMPLES; anything else raises ParamOutOfRangeError.
+    modes <= MAX_SAMPLES; anything else raises ParamOutOfRangeError. So
+    does n > MAX_SAMPLES, before anything is allocated.
 
     RANDOM_TRIG draws c_0 and then, for k = 1..modes, one coefficient c_k on
     intervals or a pair (alpha_k, beta_k) on circles, all N(0, 1) from
@@ -461,13 +475,16 @@ def sample_family(
     c_0 + sum c_k cos(k*pi*u) / k^2. On a circle it is the Fourier series
     a_0 = c_0, a_k = (alpha_k - i*beta_k) / (2 k^2), that is
     c_0 + sum (alpha_k cos(2*pi*k*u) + beta_k sin(2*pi*k*u)) / k^2,
-    synthesized by :func:`from_fourier`; so a circle needs 2*modes + 1 <= n,
-    or TruncationTooLargeError is raised before anything is drawn.
+    synthesized by :func:`from_fourier`. The grid must resolve every mode:
+    a circle needs 2*modes + 1 <= n and an interval modes <= n - 1, beyond
+    which cos(k*pi*u) on n nodes aliases onto 2(n - 1) - k. Otherwise
+    TruncationTooLargeError is raised before anything is drawn.
     """
     try:
         family = Family(family)
     except ValueError:
         raise UnknownFamilyError(f"unknown family {family!r}") from None
+    _check_size(n)
     params = list(params)
 
     if family is Family.CONSTANT:
@@ -504,6 +521,10 @@ def sample_family(
     modes_i = _whole(modes, 1, "mode count must be an integer >= 1")
     if modes_i > MAX_SAMPLES:
         raise ParamOutOfRangeError(f"mode count must be at most {MAX_SAMPLES}, got {modes_i}")
+    if isinstance(domain, Interval) and modes_i > n - 1:
+        raise TruncationTooLargeError(
+            f"modes = {modes_i} exceeds n - 1 = {n - 1}; higher cosines alias on {n} samples"
+        )
     if isinstance(domain, Circle) and 2 * modes_i + 1 > n:
         raise TruncationTooLargeError(
             f"2*modes + 1 = {2 * modes_i + 1} exceeds the {n} grid samples"

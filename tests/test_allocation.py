@@ -3,8 +3,10 @@
 ``GridFunction`` copies a caller's array but adopts the arrays lsilab
 builds for it. The circle energy scales its spectrum by a real factor and
 synthesis scales in place; both must equal the expressions they replaced
-with ``==``, the energy summed over blocks of BLOCK modes as it is now. The power-mean probe keeps only its witnesses, and the
-optimizer refuses an oversized basis before it builds one.
+with ``==``, the energy summed over blocks of BLOCK modes as it is now.
+The power-mean probe keeps only its witnesses, the optimizer refuses an
+oversized basis before it builds one, and every entry point that takes a
+grid size refuses one above MAX_SAMPLES before it allocates.
 """
 
 import math
@@ -45,7 +47,7 @@ from lsilab.experiments import random_admissible_function
 from lsilab.function_space import BLOCK, MAX_SAMPLES
 from lsilab.functionals import _finite
 
-from child import run_cli_limited
+from child import run_cli_limited, run_python_limited
 
 
 # ---------------------------------------------------------------------------
@@ -322,3 +324,41 @@ def test_optimize_over_the_basis_limit_exits_one_in_a_capped_child(tmp_path, fla
     proc = run_cli_limited(["optimize", *flags, "--output", "optimize.json"], tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"lsilab: error: {message}\n")
     assert not (tmp_path / "optimize.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# grid size limit
+# ---------------------------------------------------------------------------
+
+OVERSIZED_GRIDS = """
+import numpy as np
+from lsilab import (UNIT_INTERVAL, LsiLabError, fourier_from_dict, from_callable,
+                    from_fourier, sample_family, sharpness_sweep)
+from lsilab.function_space import MAX_SAMPLES
+calls = {
+    "constant": lambda n: sample_family("constant", [1.0], UNIT_INTERVAL, n),
+    "cosine_mode": lambda n: sample_family("cosine_mode", [1], UNIT_INTERVAL, n),
+    "sharpness": lambda n: sample_family("sharpness", [0.1], UNIT_INTERVAL, n),
+    "wang": lambda n: sample_family("wang", [0.1], UNIT_INTERVAL, n),
+    "random_trig": lambda n: sample_family("random_trig", [0, 4], UNIT_INTERVAL, n),
+    "from_fourier": lambda n: from_fourier(fourier_from_dict(1.0, {0: 1.0}), n),
+    "sharpness_sweep": lambda n: sharpness_sweep([0.1, 0.05, 0.025], n),
+    "from_callable": lambda n: from_callable(UNIT_INTERVAL, n, np.cos),
+}
+for name, call in calls.items():
+    for n in (MAX_SAMPLES + 1, 2**40):
+        try:
+            call(n)
+            print(name, "accepted")
+        except (LsiLabError, MemoryError) as exc:
+            print(name, type(exc).__name__, exc)
+"""
+
+
+def test_oversized_grids_are_refused_before_allocation_in_a_capped_child(tmp_path):
+    proc = run_python_limited(["-c", OVERSIZED_GRIDS], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 16
+    for line, n in zip(lines, [MAX_SAMPLES + 1, 2**40] * 8):
+        assert line.endswith(f" ParamOutOfRangeError need n <= {MAX_SAMPLES} samples, got {n}"), line

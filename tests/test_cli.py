@@ -544,6 +544,8 @@ def test_each_command_takes_only_the_flags_it_reads():
     (["diaz", "--q", "1.5", "--trials", "2", "--modes", "65"], "--modes must lie in [1, 64], got 65"),
     (["diaz", "--q", "1.5", "--trials", "2", "--modes", "0"], "--modes must lie in [1, 64], got 0"),
     (["diaz", "--q", "1.5", "--trials", "2", "--n-max", "8"], "unrecognized arguments: --n-max 8"),
+    (["diaz", "--q", "1.5", "--N", "16", "--modes", "64"],
+     "modes = 64 exceeds n - 1 = 15; higher cosines alias on 16 samples"),
 ])
 def test_usage_errors_exit_one_with_one_line(const_csv, tmp_path, monkeypatch, capsys,
                                             argv, message):

@@ -187,6 +187,16 @@ def test_optimizer_validation():
         minimize_deficit(Circle(2.0), 4, 0, 100)
 
 
+@pytest.mark.parametrize("init, message", [
+    ([math.nan, 0.0], "init coefficients must be finite"),
+    ([math.inf, 0.0], "init coefficients must be finite"),
+    ([1e200, 1e200], "squared mass of the iterate overflows float64"),
+], ids=["nan", "inf", "mass-overflow"])
+def test_optimizer_refuses_an_init_it_cannot_normalize(init, message):
+    with pytest.raises(ParamOutOfRangeError, match=message):
+        minimize_deficit(UNIT_INTERVAL, 2, 0, 100, init=init)
+
+
 @pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_CIRCLE])
 def test_optimizer_rejects_more_modes_than_the_grid_resolves(domain):
     # at 2 * n_modes = N the basis still fits; one mode more, or one node

@@ -126,6 +126,29 @@ def test_circle_refuses_more_modes_than_its_grid_holds_before_drawing(monkeypatc
         random_admissible_function(UNIT_CIRCLE, 16, 0, 32)
 
 
+@pytest.mark.parametrize("domain, n, most", [
+    (UNIT_INTERVAL, 16, 15),
+    (UNIT_INTERVAL, 33, 32),
+    (Interval(-1.0, 2.0), 32, 31),
+    (UNIT_CIRCLE, 31, 15),
+    (Circle(2.5), 33, 16),
+], ids=["interval-16", "interval-33", "interval-shifted", "circle-31", "circle-33"])
+def test_the_grid_holds_every_accepted_mode_and_refuses_one_more_before_drawing(
+        monkeypatch, domain, n, most):
+    # cos(k pi u) on n interval nodes aliases onto 2(n - 1) - k beyond k = n - 1
+    got = sample_family(Family.RANDOM_TRIG, [2, most], domain, n)
+    if isinstance(domain, Interval):
+        assert got.values.tobytes() == _loop_reference([2], most, domain, n)[0].tobytes()
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew coefficients for modes the grid cannot hold")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for modes in (most + 1, 10**5):
+        with pytest.raises(TruncationTooLargeError):
+            sample_family(Family.RANDOM_TRIG, [2, modes], domain, n)
+
+
 OVERSIZED_MODES = """
 from lsilab import UNIT_CIRCLE, UNIT_INTERVAL, Family, LsiLabError, sample_family
 from lsilab.function_space import MAX_SAMPLES
