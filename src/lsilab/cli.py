@@ -164,10 +164,10 @@ def _transform(args: argparse.Namespace) -> int:
 
 def _sweep(args: argparse.Namespace) -> int:
     records = experiments.sharpness_sweep(args.eps, args.n)
+    constant = experiments.extrapolate_constant(records) if args.extrapolate else None
     out = _resolve_output(args, "sweep.csv")
     write_csv(experiments.SWEEP_CSV_HEADER, [r.csv_row() for r in records], out)
-    if args.extrapolate:
-        constant = experiments.extrapolate_constant(records)
+    if constant is not None:
         print(f"extrapolated_constant={constant!r}")
     return 0
 

@@ -28,11 +28,11 @@ from .function_space import (
     _check_size,
     _cos_pi_x,
     _sharpness_values,
+    _whole,
     differentiate,
     fourier_from_dict,
     from_fourier,
     grid_points,
-    integrate,
     is_unit_circle,
     is_unit_interval,
     quadrature_weights,
@@ -46,8 +46,8 @@ from .functionals import (
     _diaz_deficits,
     _entropy_integrand,
     _geometry,
-    dirichlet_energy,
-    entropy,
+    _poincare_terms,
+    lsi_deficit_interval,
     squared_mass,
 )
 
@@ -58,12 +58,13 @@ from .functionals import (
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Functional values of the sharpness family member at one epsilon."""
+    """Functional values of the sharpness family member at one epsilon; as in
+    ``FunctionalReport``, ``ratio`` is None (an empty CSV cell) unless the entropy is positive."""
 
     epsilon: float
     energy: float
     entropy: float
-    ratio: float
+    ratio: Optional[float]
     deficit: float
 
     def __post_init__(self):
@@ -71,7 +72,8 @@ class SweepRecord:
 
     def csv_row(self) -> tuple:
         """The cells under :data:`SWEEP_CSV_HEADER`."""
-        return (self.epsilon, self.energy, self.entropy, self.ratio, self.deficit)
+        ratio = "" if self.ratio is None else self.ratio
+        return (self.epsilon, self.energy, self.entropy, ratio, self.deficit)
 
 
 SWEEP_CSV_HEADER = "epsilon,energy,entropy,ratio,deficit"
@@ -85,8 +87,8 @@ def sharpness_sweep(eps_list: Sequence[float], n: int) -> list[SweepRecord]:
     energy/entropy approaches pi^2 from above as epsilon decreases.
 
     Every epsilon is checked, and n <= MAX_SAMPLES (ParamOutOfRangeError
-    otherwise), before any grid work. Each record equals, bit
-    for bit, :func:`dirichlet_energy` and :func:`entropy` of
+    otherwise), before any grid work. Each record is, bit for bit, the
+    :func:`lsi_deficit_interval` report of
     ``sample_family(Family.SHARPNESS, [eps], UNIT_INTERVAL, n)``.
     """
     if n < 2049:
@@ -96,14 +98,11 @@ def sharpness_sweep(eps_list: Sequence[float], n: int) -> list[SweepRecord]:
     for eps in eps_list:
         _check_eps(eps)
     cos_pi_x = _cos_pi_x(UNIT_INTERVAL, n)
-    return [_sweep_record(eps, cos_pi_x) for eps in eps_list]
-
-
-def _sweep_record(eps: float, cos_pi_x: np.ndarray) -> SweepRecord:
-    """One sweep member from the shared cos(pi x); its arrays die here."""
-    f = GridFunction._adopt(UNIT_INTERVAL, _sharpness_values(eps, cos_pi_x))
-    ent, energy = entropy(f), dirichlet_energy(f)
-    return SweepRecord(eps, energy, ent, energy / ent, energy - PI_SQUARED * ent)
+    records = []
+    for eps in eps_list:  # one member's arrays at a time
+        r = lsi_deficit_interval(GridFunction._adopt(UNIT_INTERVAL, _sharpness_values(eps, cos_pi_x)))
+        records.append(SweepRecord(eps, r.energy, r.entropy, r.ratio, r.deficit))
+    return records
 
 
 def extrapolate_constant(records: Sequence[SweepRecord]) -> float:
@@ -112,19 +111,15 @@ def extrapolate_constant(records: Sequence[SweepRecord]) -> float:
     The ratio admits an expansion in epsilon^2, so we run Neville
     polynomial extrapolation in t = epsilon^2 evaluated at t = 0 (which
     reduces to classical Richardson extrapolation on geometric epsilon
-    sequences). Needs at least three distinct epsilon values.
+    sequences). Needs at least three distinct epsilon values; records whose
+    ratio is None do not count, and of several with one epsilon the first does.
     """
-    seen: dict[float, float] = {}
-    for record in records:
-        seen.setdefault(record.epsilon, record.ratio)
+    seen = {r.epsilon: r.ratio for r in reversed(records) if r.ratio is not None}
     if len(seen) < 3:
         raise InsufficientDataError(
             f"need >= 3 records with distinct epsilon, got {len(seen)}"
         )
-    t = np.array([eps * eps for eps in seen])
-    val = np.array(list(seen.values()))
-    order = np.argsort(t)
-    t, val = t[order], val[order]
+    t, val = np.array([(eps * eps, ratio) for eps, ratio in sorted(seen.items())]).T
     for level in range(1, t.size):
         for i in range(t.size - level):
             val[i] = (t[i + level] * val[i] - t[i] * val[i + 1]) / (t[i + level] - t[i])
@@ -240,6 +235,7 @@ def minimize_deficit(
         raise ParamOutOfRangeError(f"need n_modes >= 2, got {n_modes}")
     if max_iters < 1:
         raise ParamOutOfRangeError("need max_iters >= 1")
+    seed = _whole(seed, 0, "seed must be a nonnegative integer")
     if not (is_unit_interval(domain) or is_unit_circle(domain)):
         raise ParamOutOfRangeError("domain must be [0, 1] or the unit circle")
     _, constant = _geometry(domain)
@@ -428,31 +424,22 @@ def diaz_probe(
         raise ParamOutOfRangeError(f"need trials >= 1, got {trials}")
     for q in q_list:  # before any trial is drawn
         _check_q(q)
-    by_trial = []
-    witnesses = {}
+    rows, witnesses = [], {}
     for t in range(trials):
         if t == 0:
             f = sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, n)
         else:
             f = random_admissible_function(UNIT_INTERVAL, modes, seed + t, n, normalize=False)
-        row = _diaz_deficits(_check_nonnegative(f.values), differentiate(f).values, q_list)
-        if any(deficit < DIAZ_FLAG_TOL for deficit in row):
+        rows.append(_diaz_deficits(_check_nonnegative(f.values), differentiate(f).values, q_list))
+        if any(deficit < DIAZ_FLAG_TOL for deficit in rows[-1]):
             witnesses[t] = f
-        by_trial.append(row)
-    results = []
-    counterexamples = []
-    for i, q in enumerate(q_list):
-        deficits = [row[i] for row in by_trial]
-        argmin = int(np.argmin(deficits))
-        min_deficit = deficits[argmin]
-        flagged = min_deficit < DIAZ_FLAG_TOL
-        results.append(DiazQResult(q, min_deficit, argmin, flagged))
-        for t, deficit in enumerate(deficits):
-            if deficit < DIAZ_FLAG_TOL:
-                counterexamples.append((q, t, witnesses[t]))
-    return DiazProbeReport(
-        seed, trials, n, modes, tuple(results), tuple(counterexamples)
-    )
+    results, counterexamples = [], []
+    for q, column in zip(q_list, np.array(rows).T):  # rows: trials x q
+        argmin = int(np.argmin(column))
+        min_deficit = float(column[argmin])
+        results.append(DiazQResult(q, min_deficit, argmin, min_deficit < DIAZ_FLAG_TOL))
+        counterexamples += [(q, t, witnesses[t]) for t in range(trials) if column[t] < DIAZ_FLAG_TOL]
+    return DiazProbeReport(seed, trials, n, modes, tuple(results), tuple(counterexamples))
 
 
 def write_counterexamples(report: DiazProbeReport, stem: str | Path) -> list[Path]:
@@ -470,13 +457,11 @@ def write_counterexamples(report: DiazProbeReport, stem: str | Path) -> list[Pat
 # ---------------------------------------------------------------------------
 
 def mode_quotient(n: int, k: int) -> float:
-    """Rayleigh quotient energy / centered mass of the k-th circle harmonic."""
+    """Rayleigh quotient energy / centered mass of the k-th circle harmonic (Poincare kernel)."""
     if k < 1:
         raise ParamOutOfRangeError("mode index must be >= 1")
-    e = from_fourier(fourier_from_dict(1.0, {k: 0.5, -k: 0.5}), n)
-    mean = integrate(e)
-    centered = GridFunction._adopt(e.domain, e.values - mean)
-    return dirichlet_energy(e) / squared_mass(centered)
+    energy, centered = _poincare_terms(from_fourier(fourier_from_dict(1.0, {k: 0.5, -k: 0.5}), n))
+    return energy / centered
 
 
 def eigenvalue_check(n: int, n_max: int = 8) -> float:

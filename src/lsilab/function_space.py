@@ -121,10 +121,16 @@ def is_unit_circle(domain: Domain) -> bool:
 
 
 def grid_points(domain: Domain, n: int) -> np.ndarray:
-    """Sample abscissae of the uniform grid with n points."""
+    """Sample abscissae of the uniform grid with n points; n <= MAX_SAMPLES."""
+    _check_size(n)
+    return _grid(domain, n)
+
+
+def _grid(domain: Domain, n: int) -> np.ndarray:
+    """:func:`grid_points` without the size check, for the grid of a GridFunction that exists."""
     if isinstance(domain, Interval):
         return np.linspace(domain.a, domain.b, n)
-    x = np.arange(n, dtype=float)  # exact: n <= MAX_SAMPLES
+    x = np.arange(n, dtype=float)  # exact: n < 2**53
     x *= domain.circumference / n
     return x
 
@@ -177,7 +183,7 @@ class GridFunction:
 
     @property
     def x(self) -> np.ndarray:
-        return grid_points(self.domain, self.n)
+        return _grid(self.domain, self.n)
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         """Same domain and resolution, new samples."""
@@ -189,7 +195,6 @@ class GridFunction:
 
 def from_callable(domain: Domain, n: int, fn) -> GridFunction:
     """Sample a callable on the domain's grid; n <= MAX_SAMPLES."""
-    _check_size(n)
     return GridFunction(domain, fn(grid_points(domain, n)))
 
 
@@ -239,14 +244,17 @@ def _blocks(domain: Domain, n: int) -> Iterator[tuple[int, int, np.ndarray | Non
 
 def integrate(f: GridFunction) -> float:
     """Integral of f over its domain (trapezoid on circles, Simpson on intervals)."""
-    return _integral(f.domain, f.values)
+    return _integrals(f.domain, f.n, lambda lo, hi: [f.values[lo:hi]])[0]
 
 
-def _integral(domain: Domain, x: np.ndarray) -> float:
-    """Sum over :func:`_blocks` of ``w @ x[lo:hi]``, or ``sum((L/n) * x[lo:hi])`` on circles."""
-    step = domain.length / x.size
-    return sum(float(np.sum(x[lo:hi] * step) if w is None else w @ x[lo:hi])
-               for lo, hi, w in _blocks(domain, x.size))
+def _integrals(domain: Domain, n: int, integrands) -> list[float]:
+    """The integrals of the block arrays ``integrands(lo, hi)`` gives, in order, in one walk
+    over :func:`_blocks`: each block adds ``w @ x``, or ``sum(x * (L/n))`` on circles."""
+    step, totals = domain.length / n, itertools.repeat(0.0)
+    for lo, hi, w in _blocks(domain, n):
+        totals = [t + float(np.sum(x * step) if w is None else w @ x)
+                  for t, x in zip(totals, integrands(lo, hi))]
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,10 @@ The entropy functional uses the convention t^2 * log t = 0 at t = 0,
 with values in [-1e-12, 0] clamped to zero to absorb synthesis
 round-off.
 
-Every sampled integral walks ``function_space._blocks``, one block of BLOCK
-nodes and its Simpson weights at a time, except the interval Dirichlet
-energy, which dots a full squared derivative with one full weight vector.
+Every sampled integral is one walk of ``function_space._integrals`` over blocks
+of BLOCK nodes and their Simpson weights, but two: the mass-entropy pair of
+``_square_integrals`` keeps its own walk for its circle rounding, and the interval
+Dirichlet energy dots a full squared derivative with one full weight vector.
 
 The mass, entropy, energy and Fisher integrals, and the log-Sobolev and
 Wirtinger deficits built from them, raise :class:`InvalidInputError`
@@ -61,8 +62,9 @@ from .function_space import (
     Interval,
     UNIT_INTERVAL,
     _blocks,
-    _integral,
+    _integrals,
     differentiate,
+    integrate,
     is_unit_circle,
     is_unit_interval,
     quadrature_weights,
@@ -145,14 +147,13 @@ def _finite(value, name: str) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _square_integrals(f: GridFunction, log: bool = True) -> tuple[float, float, float]:
-    """``(integral f^2, integral f^2 log f, min f)``, unchecked, in one walk over
-    :func:`_blocks`: each block dotted with its Simpson weights (up to BLOCK nodes exactly
-    ``w @ integrand``), or summed after scaling the square by the step L/n on circles.
-    log f is 0 where f <= 0; the entropy reads 0 without ``log`` or if min f < -NEGATIVE_TOL."""
+def _square_integrals(f: GridFunction) -> tuple[float, float, float]:
+    """``(integral f^2, integral f^2 log f, min f)``, unchecked, log f read as 0 where f <= 0,
+    in one walk over :func:`_blocks`: each block dotted with its Simpson weights, or summed
+    on circles after the square is scaled by the step L/n and then multiplied by log f, a
+    rounding order the entropies keep and :func:`_integrals` does not share."""
     values, n = f.values, f.n
-    low = float(np.min(values)) if log else math.nan
-    log = log and low >= -NEGATIVE_TOL
+    low = float(np.min(values))
     square, scratch = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK))
     mass, ent = 0.0, 0.0
     for lo, hi, weights in _blocks(f.domain, n):
@@ -161,10 +162,9 @@ def _square_integrals(f: GridFunction, log: bool = True) -> tuple[float, float, 
         if weights is None:  # no partial sum of f^2 or f^2 log f overflows before the integral
             sq *= f.domain.circumference / n
         mass += float(np.sum(sq) if weights is None else weights @ sq)
-        if log:
-            lg = np.log(v if low > 0.0 else np.where(v > 0.0, v, 1.0), out=scratch[:v.size])
-            lg *= sq
-            ent += float(np.sum(lg) if weights is None else weights @ lg)
+        lg = np.log(v if low > 0.0 else np.where(v > 0.0, v, 1.0), out=scratch[:v.size])
+        lg *= sq
+        ent += float(np.sum(lg) if weights is None else weights @ lg)
     return mass, ent, low
 
 
@@ -199,9 +199,11 @@ def dirichlet_energy(f: GridFunction) -> float:
     return _finite(quadrature_weights(f.domain, f.n) @ square, "Dirichlet energy")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def squared_mass(f: GridFunction) -> float:
     """integral of f^2."""
-    return _finite(_square_integrals(f, log=False)[0], "integral of f^2")
+    (mass,) = _integrals(f.domain, f.n, lambda lo, hi: [np.square(f.values[lo:hi])])
+    return _finite(mass, "integral of f^2")
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +233,6 @@ def _geometry(domain) -> tuple[float, float]:
     return 1.0, FOUR_PI_SQUARED
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _log_sobolev_report(f: GridFunction, unit_mass: bool = False) -> FunctionalReport:
     """``energy - (c / L^2) * (entropy - L * m^2 * log m)``, m the root mean square.
 
@@ -242,8 +243,8 @@ def _log_sobolev_report(f: GridFunction, unit_mass: bool = False) -> FunctionalR
     are checked in this order: the energy, the mass, the sign, the entropy.
     """
     length, c = _geometry(f.domain)
+    mass, ent, low = _square_integrals(f)  # raises nothing, so first, while f is in cache
     energy = dirichlet_energy(f)
-    mass, ent, low = _square_integrals(f)
     mass = _finite(mass, "integral of f^2")
     if unit_mass:
         if abs(mass - 1.0) > NORMALIZATION_TOL:
@@ -263,24 +264,24 @@ def _log_sobolev_report(f: GridFunction, unit_mass: bool = False) -> FunctionalR
 @np.errstate(over="ignore", invalid="ignore")
 def _fisher_report(f: GridFunction) -> FunctionalReport:
     """``fisher - (2c / L^2) * (integral f log f - L * m log m)``, m the mean;
-    one scratch array holds ``log f * f`` and then ``d * d / f``."""
+    the mass, ``integral f log f`` and ``integral d * d / f`` come from one block walk."""
     length, c = _geometry(f.domain)
     values = f.values
     low = float(np.min(values))
     if low < MASS_TOL:
         raise NonPositiveFunctionError(f"minimum value {low:.3e}; need min >= {MASS_TOL:.0e}")
-    d = differentiate(f).values  # before the integrals, as in _log_sobolev_report
-    mass = _integral(f.domain, values)
+    d = differentiate(f).values
+
+    def integrands(lo, hi):
+        v, dv = values[lo:hi], d[lo:hi]
+        return [v, np.log(v) * v, dv * dv / v]
+
+    mass, ent, fisher = _integrals(f.domain, f.n, integrands)
     m = mass / length
     if m <= MASS_TOL:
         raise ZeroMassError(f"mean {m:.3e} is numerically zero")
-    scratch = np.log(values)
-    scratch *= values
-    ent = _finite(_integral(f.domain, scratch), "integral of f log f")
-    np.multiply(d, d, out=scratch)
-    scratch /= values
-    fisher = _finite(_integral(f.domain, scratch), "Fisher information")
-    return _report(mass, ent, fisher, 2.0 * c / length**2, length * m * math.log(m))
+    return _report(mass, _finite(ent, "integral of f log f"), _finite(fisher, "Fisher information"),
+                   2.0 * c / length**2, length * m * math.log(m))
 
 
 def lsi_deficit_interval(f: GridFunction) -> FunctionalReport:
@@ -361,6 +362,14 @@ def weissler_bound(series: FourierSeries, power: WeightPower | str) -> float:
 # ---------------------------------------------------------------------------
 
 @np.errstate(over="ignore", invalid="ignore")
+def _poincare_terms(f: GridFunction) -> tuple[float, float]:
+    """``(integral (f')^2, integral (f - mean)^2)`` on a domain of length 1, unchecked: the two
+    sides of the Poincare inequality, constant pi^2 on [0, 1] and 4 pi^2 on the unit circle."""
+    values, mean = f.values, integrate(f)  # the mean: the length is 1
+    (centered,) = _integrals(f.domain, f.n, lambda lo, hi: [np.square(values[lo:hi] - mean)])
+    return dirichlet_energy(f), centered  # last, as in _log_sobolev_report: f is in cache
+
+
 def wirtinger_deficit(f: GridFunction) -> float:
     """Deficit of pi^2 * integral (f - mean)^2 <= integral (f')^2 on [0, 1].
 
@@ -368,10 +377,8 @@ def wirtinger_deficit(f: GridFunction) -> float:
     """
     if not is_unit_interval(f.domain):
         raise DomainMismatchError("Wirtinger deficit requires the domain [0, 1]")
-    energy = dirichlet_energy(f)  # before the integrals, as in _log_sobolev_report
-    dev = f.values - _integral(f.domain, f.values)  # the mean: interval length is 1
-    dev *= dev
-    return _finite(energy - PI_SQUARED * _integral(f.domain, dev), "Wirtinger deficit")
+    energy, centered = _poincare_terms(f)
+    return _finite(energy - PI_SQUARED * centered, "Wirtinger deficit")
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +392,24 @@ def _check_q(q: float) -> None:
 
 def _diaz_deficits(values: np.ndarray, d: np.ndarray, q_list: Sequence[float]) -> list[float]:
     """The power-mean deficit for each q of one function on [0, 1], from its clamped
-    values and its derivative samples, adding up both integrals of every q per block.
-    No full weight vector is built: one walk over :func:`_blocks` serves all of q_list.
+    values and its derivative samples: one :func:`_integrals` walk serves all of q_list.
 
     Each right-hand integrand is ``values * values + (q - 1.0) * d * d /
     pi^2`` in that order of operations, built in one scratch array.
     """
-    lhs, rhs = [0.0] * len(q_list), [0.0] * len(q_list)
-    for lo, hi, w in _blocks(UNIT_INTERVAL, values.size):
+    def integrands(lo, hi):  # one at a time, so each is summed before the next is built
         v, dv = values[lo:hi], d[lo:hi]
         square = v * v
-        for i, q in enumerate(q_list):
-            lhs[i] += float(w @ v**q)
+        yield from (v**q for q in q_list)
+        for q in q_list:
             scratch = (q - 1.0) * dv
             scratch *= dv
             scratch /= PI_SQUARED
             scratch += square
-            np.sqrt(scratch, out=scratch)
-            rhs[i] += float(w @ scratch)
-    return [r - m ** (1.0 / q) for q, m, r in zip(q_list, lhs, rhs)]
+            yield np.sqrt(scratch, out=scratch)
+
+    sums = _integrals(UNIT_INTERVAL, values.size, integrands)  # q_list's lhs, then its rhs
+    return [r - m ** (1.0 / q) for q, m, r in zip(q_list, sums, sums[len(q_list):])]
 
 
 def diaz_deficit(r: GridFunction, q: float) -> float:

@@ -333,7 +333,7 @@ def test_optimize_over_the_basis_limit_exits_one_in_a_capped_child(tmp_path, fla
 OVERSIZED_GRIDS = """
 import numpy as np
 from lsilab import (UNIT_INTERVAL, LsiLabError, fourier_from_dict, from_callable,
-                    from_fourier, sample_family, sharpness_sweep)
+                    from_fourier, grid_points, sample_family, sharpness_sweep)
 from lsilab.function_space import MAX_SAMPLES
 calls = {
     "constant": lambda n: sample_family("constant", [1.0], UNIT_INTERVAL, n),
@@ -344,6 +344,7 @@ calls = {
     "from_fourier": lambda n: from_fourier(fourier_from_dict(1.0, {0: 1.0}), n),
     "sharpness_sweep": lambda n: sharpness_sweep([0.1, 0.05, 0.025], n),
     "from_callable": lambda n: from_callable(UNIT_INTERVAL, n, np.cos),
+    "grid_points": lambda n: grid_points(UNIT_INTERVAL, n),
 }
 for name, call in calls.items():
     for n in (MAX_SAMPLES + 1, 2**40):
@@ -359,6 +360,6 @@ def test_oversized_grids_are_refused_before_allocation_in_a_capped_child(tmp_pat
     proc = run_python_limited(["-c", OVERSIZED_GRIDS], tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 16
-    for line, n in zip(lines, [MAX_SAMPLES + 1, 2**40] * 8):
+    assert len(lines) == 18
+    for line, n in zip(lines, [MAX_SAMPLES + 1, 2**40] * 9):
         assert line.endswith(f" ParamOutOfRangeError need n <= {MAX_SAMPLES} samples, got {n}"), line

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, file formats, determinism."""
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -95,6 +96,13 @@ def test_sweep_writes_csv_and_prints_extrapolation(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "epsilon,energy,entropy,ratio,deficit"
     assert len(lines) == 4
+
+
+def test_sweep_leaves_the_ratio_cell_empty_when_the_entropy_is_not_positive(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--eps", "1e-300", "--N", "2049", "--output", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["ratio"] == ""
 
 
 def test_sweep_output_is_byte_identical(tmp_path):
@@ -546,6 +554,9 @@ def test_each_command_takes_only_the_flags_it_reads():
     (["diaz", "--q", "1.5", "--trials", "2", "--n-max", "8"], "unrecognized arguments: --n-max 8"),
     (["diaz", "--q", "1.5", "--N", "16", "--modes", "64"],
      "modes = 64 exceeds n - 1 = 15; higher cosines alias on 16 samples"),
+    (["optimize", "--seed", "-1"], "seed must be a nonnegative integer"),
+    (["sweep", "--eps", "1e-300,0.1,0.05", "--extrapolate"],  # 1e-300 has no ratio
+     "need >= 3 records with distinct epsilon, got 2"),
 ])
 def test_usage_errors_exit_one_with_one_line(const_csv, tmp_path, monkeypatch, capsys,
                                             argv, message):
@@ -657,6 +668,21 @@ def test_grid_csv_over_the_row_cap_exits_one_with_one_line(tmp_path, monkeypatch
     assert code == 1
     assert capsys.readouterr().err == f"lsilab: error: {path}: more than 64 rows\n"
     assert not out.exists()
+
+
+def test_reflect_writes_a_circle_grid_longer_than_the_sampling_limit(tmp_path, monkeypatch, capsys):
+    # the limit binds sizes a caller asks for, not the grid of a function that already
+    # exists: a reflection of N accepted rows has 2(N - 1) samples, more than N
+    monkeypatch.setattr(function_space, "_check_size",
+                        functools.partial(function_space._check_size, limit=64))
+    src, out = tmp_path / "f.csv", tmp_path / "reflect.csv"
+    write_grid_csv(sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, 35), src)
+    assert main(["reflect", "--input", str(src), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(out.read_text().splitlines()) == 1 + 68
+    assert (tmp_path / "reflect.csv.cert.json").exists()
+    with pytest.raises(lsilab.ParamOutOfRangeError, match="^need n <= 64 samples, got 68$"):
+        lsilab.grid_points(lsilab.UNIT_CIRCLE, 68)
 
 
 def test_diaz_modes_sets_the_modes_per_trial(tmp_path, capsys):

@@ -16,11 +16,16 @@ from lsilab import (
     UNIT_CIRCLE,
     UNIT_INTERVAL,
     diaz_probe,
+    dirichlet_energy,
     eigenvalue_check,
     extrapolate_constant,
+    fourier_from_dict,
+    from_fourier,
+    integrate,
     minimize_deficit,
     sample_family,
     sharpness_sweep,
+    squared_mass,
     wang_ode_residual,
 )
 from lsilab.experiments import (
@@ -96,6 +101,22 @@ def test_extrapolate_constant_data_is_exact():
 def test_every_epsilon_check_raises_one_message(check, eps):
     with pytest.raises(ParamOutOfRangeError, match=rf"^eps must lie in \(0, 1\), got {eps}$"):
         check(eps)
+
+
+@pytest.mark.parametrize("eps", [1e-300, 1e-10])
+def test_a_sweep_entropy_that_is_not_positive_gives_no_ratio(eps):
+    # the entropy reads exactly 0 at 1e-300 and -3.1e-19 at 1e-10
+    (record,) = sharpness_sweep([eps], 2049)
+    assert record.entropy <= 0.0 and record.ratio is None
+    assert record.csv_row()[3] == ""
+
+
+def test_extrapolate_skips_records_without_a_ratio():
+    records = [SweepRecord(eps, 1.0, 1.0, 7.25, 0.0) for eps in (0.1, 0.2, 0.4)]
+    missing = SweepRecord(0.05, 0.0, 0.0, None, 0.0)
+    assert extrapolate_constant([missing] + records) == 7.25
+    with pytest.raises(InsufficientDataError, match=r"^need >= 3 records .* got 2$"):
+        extrapolate_constant([missing] + records[:2])
 
 
 def test_extrapolate_rejects_duplicate_epsilons():
@@ -195,6 +216,13 @@ def test_optimizer_validation():
 def test_optimizer_refuses_an_init_it_cannot_normalize(init, message):
     with pytest.raises(ParamOutOfRangeError, match=message):
         minimize_deficit(UNIT_INTERVAL, 2, 0, 100, init=init)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, math.nan])
+def test_optimizer_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # the same check and message as sample_family's; before the basis size check
+    with pytest.raises(ParamOutOfRangeError, match=r"^seed must be a nonnegative integer$"):
+        minimize_deficit(UNIT_INTERVAL, 2, seed, 100, n=2**40)
 
 
 @pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_CIRCLE])
@@ -325,6 +353,14 @@ def test_minimizing_mode_is_first_harmonic():
     quotients = [mode_quotient(256, k) for k in range(1, 6)]
     assert quotients[0] == min(quotients)
     assert quotients[0] == pytest.approx(FOUR_PI_SQUARED, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [64, 256, 4097])
+def test_mode_quotient_equals_the_centered_grid_function_quotient(n):
+    for k in range(1, 9):
+        e = from_fourier(fourier_from_dict(1.0, {k: 0.5, -k: 0.5}), n)
+        centered = e.with_values(e.values - integrate(e))
+        assert mode_quotient(n, k) == dirichlet_energy(e) / squared_mass(centered)
 
 
 def test_second_mode_quotient():

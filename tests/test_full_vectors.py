@@ -2,7 +2,8 @@
 
 Every other sampled integral walks ``function_space._blocks``. This walks
 the syntax tree of every library module for calls of ``quadrature_weights``
-and for ``range(..., ..., BLOCK)`` loops, and names the function each sits in.
+and ``_blocks`` and for ``range(..., ..., BLOCK)`` loops, and names the
+function each sits in.
 """
 
 import ast
@@ -19,6 +20,10 @@ FULL_VECTOR_HOLDERS = {"dirichlet_energy", "minimize_deficit"}
 #: ``_blocks`` walks the nodes; the circle energy walks its Fourier modes.
 BLOCK_LOOPS = {"_blocks", "dirichlet_energy"}
 
+#: The one walker of node integrals, and the mass-entropy pair, which keeps
+#: its own walk for the rounding of its circle entropies.
+BLOCK_WALKERS = {"_integrals", "_square_integrals"}
+
 
 def _name(node) -> str | None:
     """``x`` for the expressions ``x`` and ``module.x``."""
@@ -29,6 +34,10 @@ def _name(node) -> str | None:
 
 def calls_weights(call: ast.Call) -> bool:
     return _name(call.func) == "quadrature_weights"
+
+
+def calls_blocks(call: ast.Call) -> bool:
+    return _name(call.func) == "_blocks"
 
 
 def loops_over_blocks(call: ast.Call) -> bool:
@@ -72,3 +81,7 @@ def test_only_the_full_vector_holders_call_quadrature_weights():
 
 def test_blocks_is_the_only_node_block_loop():
     assert _library_owners(loops_over_blocks) == BLOCK_LOOPS
+
+
+def test_only_the_walkers_iterate_blocks():
+    assert _library_owners(calls_blocks) == BLOCK_WALKERS
