@@ -86,14 +86,12 @@ def sharpness_sweep(eps_list: Sequence[float], n: int) -> list[SweepRecord]:
     Records are sorted by epsilon, descending. The ratio
     energy/entropy approaches pi^2 from above as epsilon decreases.
 
-    Every epsilon is checked, and n <= MAX_SAMPLES (ParamOutOfRangeError
-    otherwise), before any grid work. Each record is, bit for bit, the
-    :func:`lsi_deficit_interval` report of
-    ``sample_family(Family.SHARPNESS, [eps], UNIT_INTERVAL, n)``.
+    Every epsilon is checked, and that n is a whole number in [2049,
+    MAX_SAMPLES] (ParamOutOfRangeError otherwise), before any grid work.
+    Each record is, bit for bit, the :func:`lsi_deficit_interval` report
+    of ``sample_family(Family.SHARPNESS, [eps], UNIT_INTERVAL, n)``.
     """
-    if n < 2049:
-        raise ParamOutOfRangeError(f"sweep needs n >= 2049, got {n}")
-    _check_size(n)
+    n = _check_size(n, 2049)
     eps_list = sorted(eps_list, reverse=True)
     for eps in eps_list:
         _check_eps(eps)
@@ -139,8 +137,7 @@ def wang_ode_residual(eps: float, n: int) -> float:
     value measures pure discretization error.
     """
     _check_eps(eps)
-    if n < 513:
-        raise ParamOutOfRangeError(f"need n >= 513, got {n}")
+    n = _check_size(n, 513)
     f = sample_family(Family.WANG, [eps], UNIT_INTERVAL, n)
     first = differentiate(f)
     second = differentiate(first)
@@ -231,16 +228,13 @@ def minimize_deficit(
     ``init`` whose squared mass overflows float64 raises it when the
     first iterate is normalized.
     """
-    if n_modes < 2:
-        raise ParamOutOfRangeError(f"need n_modes >= 2, got {n_modes}")
-    if max_iters < 1:
-        raise ParamOutOfRangeError("need max_iters >= 1")
+    n_modes = _whole(n_modes, 2, f"need an integer n_modes >= 2, got {n_modes}")
+    max_iters = _whole(max_iters, 1, f"need an integer max_iters >= 1, got {max_iters}")
     seed = _whole(seed, 0, "seed must be a nonnegative integer")
     if not (is_unit_interval(domain) or is_unit_circle(domain)):
         raise ParamOutOfRangeError("domain must be [0, 1] or the unit circle")
     _, constant = _geometry(domain)
-    if n is None:
-        n = 2049 if isinstance(domain, Interval) else 2048
+    n = _check_size((2049 if isinstance(domain, Interval) else 2048) if n is None else n)
     if 2 * n_modes > n:
         raise ParamOutOfRangeError(f"{n_modes} modes need N >= {2 * n_modes}, got {n}")
     if n * n_modes > MAX_SAMPLES:  # the basis matrix holds n * n_modes floats
@@ -420,8 +414,9 @@ def diaz_probe(
     per-exponent :func:`diaz_deficit` calls give. Only the counterexample
     witnesses are kept.
     """
-    if trials < 1:
-        raise ParamOutOfRangeError(f"need trials >= 1, got {trials}")
+    trials = _whole(trials, 1, f"need an integer trials >= 1, got {trials}")
+    n = _check_size(n)
+    modes = _whole(modes, 1, "mode count must be an integer >= 1")
     for q in q_list:  # before any trial is drawn
         _check_q(q)
     rows, witnesses = [], {}
@@ -458,8 +453,7 @@ def write_counterexamples(report: DiazProbeReport, stem: str | Path) -> list[Pat
 
 def mode_quotient(n: int, k: int) -> float:
     """Rayleigh quotient energy / centered mass of the k-th circle harmonic (Poincare kernel)."""
-    if k < 1:
-        raise ParamOutOfRangeError("mode index must be >= 1")
+    k = _whole(k, 1, "mode index must be an integer >= 1")
     energy, centered = _poincare_terms(from_fourier(fourier_from_dict(1.0, {k: 0.5, -k: 0.5}), n))
     return energy / centered
 
@@ -470,8 +464,6 @@ def eigenvalue_check(n: int, n_max: int = 8) -> float:
     Equals the first nonzero Laplacian eigenvalue on the unit circle,
     4 pi^2, attained by the single-oscillation modes.
     """
-    if n < 64:
-        raise ParamOutOfRangeError(f"need n >= 64, got {n}")
-    if n_max < 1:
-        raise ParamOutOfRangeError("need n_max >= 1")
+    n = _check_size(n, 64)
+    n_max = _whole(n_max, 1, f"need an integer n_max >= 1, got {n_max}")
     return min(mode_quotient(n, k) for k in range(1, n_max + 1))

@@ -98,14 +98,29 @@ UNIT_INTERVAL = Interval(0.0, 1.0)
 UNIT_CIRCLE = Circle(1.0)
 
 
-def _check_size(n: int, limit: int = MAX_SAMPLES) -> None:
-    """Refuse a grid of more than MAX_SAMPLES nodes before anything is allocated.
+def _check_size(n: int, least: int = 1, limit: int = MAX_SAMPLES) -> int:
+    """``n`` as an int, or ParamOutOfRangeError unless it is a whole number in [least, limit].
 
-    The limit is bound at import, so a test that lowers ``MAX_SAMPLES`` to
-    reach the CSV reader's row cap can still sample a longer fixture.
+    Every sample count is checked here before anything is allocated. ``limit`` is bound
+    at import, so a test that lowers ``MAX_SAMPLES`` to reach the CSV reader's row cap
+    can still sample a longer fixture.
     """
+    n = _whole(n, least, f"need an integer n >= {least}, got {n}")
     if n > limit:
         raise ParamOutOfRangeError(f"need n <= {limit} samples, got {n}")
+    return n
+
+
+def _whole(value: float, least: float, message: str) -> int:
+    """``value`` as an int, or ParamOutOfRangeError(message) unless it is a whole number >= least:
+    None, a string, inf and nan fail like 2.5. Every count lsilab takes is checked here."""
+    try:
+        whole = int(value)
+    except (OverflowError, TypeError, ValueError):  # inf, nan, None
+        raise ParamOutOfRangeError(message) from None
+    if whole != value or whole < least:
+        raise ParamOutOfRangeError(message)
+    return whole
 
 
 def is_unit_interval(domain: Domain) -> bool:
@@ -121,9 +136,8 @@ def is_unit_circle(domain: Domain) -> bool:
 
 
 def grid_points(domain: Domain, n: int) -> np.ndarray:
-    """Sample abscissae of the uniform grid with n points; n <= MAX_SAMPLES."""
-    _check_size(n)
-    return _grid(domain, n)
+    """Sample abscissae of the uniform grid with n points, n a whole number in [1, MAX_SAMPLES]."""
+    return _grid(domain, _check_size(n))
 
 
 def _grid(domain: Domain, n: int) -> np.ndarray:
@@ -194,7 +208,7 @@ class GridFunction:
 
 
 def from_callable(domain: Domain, n: int, fn) -> GridFunction:
-    """Sample a callable on the domain's grid; n <= MAX_SAMPLES."""
+    """Sample a callable on the domain's grid; n is checked as in :func:`grid_points`."""
     return GridFunction(domain, fn(grid_points(domain, n)))
 
 
@@ -379,16 +393,17 @@ class FourierSeries:
 def fourier_from_dict(circumference: float, entries: dict[int, complex]) -> FourierSeries:
     """Build a series from a sparse two-sided {n: a_n} mapping; 2*max|n| + 1 <= MAX_SAMPLES.
 
-    NotHermitianError unless |a_{-n} - conj(a_n)| <= HERMITIAN_TOL * max(1, max|a_n|)
-    for every n, a missing entry being 0. Keeps a_n for n >= 0, with a_0 made real."""
+    ParamOutOfRangeError unless every n is a whole number, and NotHermitianError unless
+    |a_{-n} - conj(a_n)| <= HERMITIAN_TOL * max(1, max|a_n|) for every n, a missing entry
+    being 0. Keeps a_n for n >= 0, with a_0 made real."""
     if not entries:
         raise InvalidInputError("need at least one coefficient")
-    n_max = max(abs(n) for n in entries)
+    modes = list({abs(_whole(n, -math.inf, "mode indices must be integers")) for n in entries})
+    n_max = max(modes)
     if 2 * n_max + 1 > MAX_SAMPLES:
         raise TruncationTooLargeError(
             f"mode |n| = {n_max} needs {2 * n_max + 1} coefficients, more than {MAX_SAMPLES}"
         )
-    modes = list({abs(n) for n in entries})
     pairs = np.array([(entries.get(k, 0), entries.get(-k, 0)) for k in modes], dtype=complex)
     if not np.all(np.isfinite(pairs)):
         raise InvalidInputError("coefficients must be finite")
@@ -410,8 +425,7 @@ def to_fourier(f: GridFunction, n_max: int) -> FourierSeries:
     """
     if not isinstance(f.domain, Circle):
         raise DomainMismatchError("Fourier analysis needs a circle domain")
-    if n_max < 0:
-        raise ParamOutOfRangeError("n_max must be nonnegative")
+    n_max = _whole(n_max, 0, "n_max must be a nonnegative integer")
     if 2 * n_max + 1 > f.n:
         raise TruncationTooLargeError(
             f"2*n_max + 1 = {2 * n_max + 1} exceeds the {f.n} grid samples"
@@ -423,9 +437,10 @@ def to_fourier(f: GridFunction, n_max: int) -> FourierSeries:
 def from_fourier(series: FourierSeries, n: int) -> GridFunction:
     """Pointwise synthesis on the n-point periodic grid: ``n * irfft`` of
     a_0..a_{n_max}, the real FFT taking a_{-n} to be conj(a_n). Raises
-    ParamOutOfRangeError for n > MAX_SAMPLES, before anything is allocated,
-    and InvalidInputError when the samples overflow float64."""
-    _check_size(n)
+    ParamOutOfRangeError unless n is a whole number in [1, MAX_SAMPLES],
+    before anything is allocated, and InvalidInputError when the samples
+    overflow float64."""
+    n = _check_size(n)
     if n < 2 * series.n_max + 1:
         raise TruncationTooLargeError(
             f"need n >= {2 * series.n_max + 1} samples to hold modes up to {series.n_max}"
@@ -474,8 +489,9 @@ def sample_family(
                                   coefficients drawn from the seed
 
     Integer parameters (k, seed, modes) must be finite whole numbers, and
-    modes <= MAX_SAMPLES; anything else raises ParamOutOfRangeError. So
-    does n > MAX_SAMPLES, before anything is allocated.
+    modes <= MAX_SAMPLES; anything else raises ParamOutOfRangeError. So does
+    an n that is not a whole number in [1, MAX_SAMPLES], before anything is
+    allocated.
 
     RANDOM_TRIG draws c_0 and then, for k = 1..modes, one coefficient c_k on
     intervals or a pair (alpha_k, beta_k) on circles, all N(0, 1) from
@@ -492,7 +508,7 @@ def sample_family(
         family = Family(family)
     except ValueError:
         raise UnknownFamilyError(f"unknown family {family!r}") from None
-    _check_size(n)
+    n = _check_size(n)
     params = list(params)
 
     if family is Family.CONSTANT:
@@ -585,17 +601,6 @@ def _family_params(family: Family, params: list[float], count: int) -> list[floa
     return params
 
 
-def _whole(value: float, least: int, message: str) -> int:
-    """``value`` as an int, or ParamOutOfRangeError(message) unless it is a whole number >= least."""
-    try:
-        whole = int(value)
-    except (OverflowError, ValueError):  # inf, nan
-        raise ParamOutOfRangeError(message) from None
-    if whole != value or whole < least:
-        raise ParamOutOfRangeError(message)
-    return whole
-
-
 def _check_eps(eps: float) -> None:
     if not (0.0 < eps < 1.0):
         raise ParamOutOfRangeError(f"eps must lie in (0, 1), got {eps}")
@@ -672,9 +677,11 @@ def _read_plain(handle: TextIO) -> np.ndarray | None:
 
     Plain means: the header line is ``x,value`` (spaces allowed) or exactly
     ``"x","value"``; every later line is one record of two finite numbers,
-    none blank; no line is longer than the csv module's field limit; and
-    no line holds one of :data:`_FIELD_SEPARATORS`. On such a file the csv
-    module finds the same records and ``float()`` the same numbers.
+    none blank, at most MAX_SAMPLES + 1 of them (counted here: ``np.loadtxt``
+    with ``max_rows`` reserves all 256 MiB of that before it parses a line);
+    no line is longer than the csv module's field limit; and no line holds one
+    of :data:`_FIELD_SEPARATORS`. On such a file the csv module finds the same
+    records and ``float()`` the same numbers.
     """
     limit = csv.field_size_limit()
     lines = 0
@@ -682,12 +689,12 @@ def _read_plain(handle: TextIO) -> np.ndarray | None:
     def chunks():
         nonlocal lines
         while chunk := handle.readlines(_CHUNK_CHARS):
+            lines += len(chunk)
             text = "".join(chunk)
-            if any(c in text for c in _FIELD_SEPARATORS) or (
+            if lines > MAX_SAMPLES + 1 or any(c in text for c in _FIELD_SEPARATORS) or (
                 len(text) > limit and max(map(len, chunk)) > limit
             ):
                 raise ValueError("not a plain grid CSV")
-            lines += len(chunk)
             yield chunk
 
     try:
@@ -698,12 +705,10 @@ def _read_plain(handle: TextIO) -> np.ndarray | None:
         ):
             return None
         with warnings.catch_warnings():
-            # "input contained no data", and a blank line under max_rows
-            warnings.simplefilter("error", UserWarning)
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
             samples = np.loadtxt(
                 itertools.chain.from_iterable(chunks()),
-                delimiter=",", comments=None, quotechar='"', dtype=float,
-                ndmin=2, max_rows=MAX_SAMPLES + 1,
+                delimiter=",", comments=None, quotechar='"', dtype=float, ndmin=2,
             )
     except (ValueError, UserWarning):  # a UnicodeDecodeError is a ValueError
         return None

@@ -6,9 +6,12 @@ synthesis scales in place; both must equal the expressions they replaced
 with ``==``, the energy summed over blocks of BLOCK modes as it is now.
 The power-mean probe keeps only its witnesses, the optimizer refuses an
 oversized basis before it builds one, and every entry point that takes a
-grid size refuses one above MAX_SAMPLES before it allocates.
+grid size refuses one above MAX_SAMPLES before it allocates. Every count an
+entry point takes is refused the same way when it is not a whole number in
+its range, and the CSV reader reserves nothing for its row cap.
 """
 
+import inspect
 import math
 import tracemalloc
 
@@ -41,10 +44,11 @@ from lsilab import (
     to_fourier,
     write_grid_csv,
 )
-from lsilab import experiments
+import lsilab
+from lsilab import experiments, function_space
 from lsilab.cli import main
 from lsilab.experiments import random_admissible_function
-from lsilab.function_space import BLOCK, MAX_SAMPLES
+from lsilab.function_space import BLOCK, MAX_SAMPLES, _check_size, _whole
 from lsilab.functionals import _finite
 
 from child import run_cli_limited, run_python_limited
@@ -363,3 +367,157 @@ def test_oversized_grids_are_refused_before_allocation_in_a_capped_child(tmp_pat
     assert len(lines) == 18
     for line, n in zip(lines, [MAX_SAMPLES + 1, 2**40] * 9):
         assert line.endswith(f" ParamOutOfRangeError need n <= {MAX_SAMPLES} samples, got {n}"), line
+
+
+# ---------------------------------------------------------------------------
+# count policy: a whole number in [least, MAX_SAMPLES], checked before allocation
+# ---------------------------------------------------------------------------
+
+#: (entry point, count parameter) -> (least value or None for no lower bound,
+#: whether the count is a sample count, the call with the count as ``v``).
+COUNTS = {
+    ("grid_points", "n"): (1, True, "grid_points(UNIT_CIRCLE, v)"),
+    ("from_callable", "n"): (1, True, "from_callable(UNIT_INTERVAL, v, np.cos)"),
+    ("sample_family", "n"): (1, True, "sample_family('constant', [1.0], UNIT_INTERVAL, v)"),
+    ("from_fourier", "n"): (1, True, "from_fourier(fourier_from_dict(1.0, {0: 1.0}), v)"),
+    ("to_fourier", "n_max"): (0, False, "to_fourier(from_callable(UNIT_CIRCLE, 64, np.cos), v)"),
+    ("fourier_from_dict", "entries"): (None, False, "fourier_from_dict(1.0, {0: 1.0, v: 0.5})"),
+    ("sharpness_sweep", "n"): (2049, True, "sharpness_sweep([0.1], v)"),
+    ("wang_ode_residual", "n"): (513, True, "wang_ode_residual(0.2, v)"),
+    ("eigenvalue_check", "n"): (64, True, "eigenvalue_check(v)"),
+    ("eigenvalue_check", "n_max"): (1, False, "eigenvalue_check(64, v)"),
+    ("mode_quotient", "n"): (1, True, "mode_quotient(v, 1)"),
+    ("mode_quotient", "k"): (1, False, "mode_quotient(64, v)"),
+    ("minimize_deficit", "n_modes"): (2, False, "minimize_deficit(UNIT_INTERVAL, v, 0, 2, n=65)"),
+    ("minimize_deficit", "max_iters"): (1, False, "minimize_deficit(UNIT_INTERVAL, 4, 0, v, n=65)"),
+    ("minimize_deficit", "n"): (1, True, "minimize_deficit(UNIT_INTERVAL, 2, 0, 2, n=v)"),
+    ("diaz_probe", "trials"): (1, False, "diaz_probe([1.5], v, 0, n=65, modes=4)"),
+    ("diaz_probe", "n"): (1, True, "diaz_probe([1.5], 1, 0, n=v, modes=4)"),
+    ("diaz_probe", "modes"): (1, False, "diaz_probe([1.5], 1, 0, n=65, modes=v)"),
+    ("random_admissible_function", "n"): (1, True, "random_admissible_function(UNIT_INTERVAL, 4, 0, v)"),
+    ("random_admissible_function", "modes"): (1, False, "random_admissible_function(UNIT_INTERVAL, v, 0, 65)"),
+}
+
+#: Counts for which None asks for the default.
+NONE_IS_DEFAULT = {("minimize_deficit", "n")}
+
+#: The probes: (id, call, count); sample counts also try MAX_SAMPLES + 1 and 2**40.
+COUNT_PROBES = [
+    (f"{entry}-{param}={v!r}", call, v)
+    for (entry, param), (least, samples, call) in COUNTS.items()
+    for v in [2.5, *([] if (entry, param) in NONE_IS_DEFAULT else [None]),
+              *([] if least is None else [least - 1]),
+              *([MAX_SAMPLES + 1, 2**40] if samples else [])]
+]
+
+COUNT_PROBE = """
+import ast, sys
+import numpy as np
+from lsilab import *
+from lsilab.experiments import mode_quotient
+for call, v in ast.literal_eval(sys.argv[1]):
+    try:
+        eval(call, globals(), {"v": v})
+        print("accepted")
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+@pytest.fixture(scope="module")
+def count_probe_lines(tmp_path_factory):
+    """Probe id -> the line the capped child printed for it."""
+    probes = repr([(call, v) for _, call, v in COUNT_PROBES])
+    proc = run_python_limited(["-c", COUNT_PROBE, probes], tmp_path_factory.mktemp("counts"))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(COUNT_PROBES)
+    return dict(zip((name for name, _, _ in COUNT_PROBES), lines))
+
+
+@pytest.mark.parametrize("name, v", [(name, v) for name, _, v in COUNT_PROBES],
+                         ids=[name for name, _, _ in COUNT_PROBES])
+def test_every_count_outside_its_range_is_refused_in_a_capped_child(count_probe_lines, name, v):
+    line = count_probe_lines[name]
+    if v in (MAX_SAMPLES + 1, 2**40):
+        assert line == f"ParamOutOfRangeError need n <= {MAX_SAMPLES} samples, got {v}"
+    else:
+        assert line.startswith("ParamOutOfRangeError "), line
+
+
+#: Parameter names that hold a count.
+COUNT_NAMES = {"n", "n_max", "n_modes", "max_iters", "trials", "modes", "k"}
+
+#: Public records whose count fields an entry point in COUNTS fills in.
+RECORDS = {"DiazProbeReport"}
+
+
+def test_every_public_count_parameter_is_in_the_count_table():
+    callables = {name: obj for name, obj in vars(lsilab).items()
+                 if not name.startswith("_") and callable(obj) and name not in RECORDS}
+    callables["mode_quotient"] = experiments.mode_quotient
+    missing = []
+    for name, obj in callables.items():
+        try:
+            parameters = inspect.signature(obj).parameters
+        except ValueError:  # the exception classes have no signature
+            continue
+        missing += [(name, p) for p in parameters if p in COUNT_NAMES and (name, p) not in COUNTS]
+    assert missing == []
+    assert all(name in vars(lsilab) for name in RECORDS)
+
+
+def test_whole_refuses_what_is_not_a_whole_number_at_least_least():
+    for value in (2.5, None, "3", math.inf, math.nan, 1j, 0):
+        with pytest.raises(ParamOutOfRangeError, match="^bad$"):
+            _whole(value, 1, "bad")
+    assert [_whole(v, 1, "bad") for v in (1, 3.0, np.int64(7), np.float64(2.0), True)] == [1, 3, 7, 2, 1]
+    assert type(_whole(np.int64(7), 1, "bad")) is int
+
+
+def test_check_size_returns_an_int_in_its_range():
+    assert _check_size(np.float64(2049.0), 2049) == 2049
+    with pytest.raises(ParamOutOfRangeError, match="^need an integer n >= 2049, got 2048$"):
+        _check_size(2048, 2049)
+    with pytest.raises(ParamOutOfRangeError, match=f"^need n <= {MAX_SAMPLES} samples, got {MAX_SAMPLES + 1}$"):
+        _check_size(MAX_SAMPLES + 1)
+
+
+def test_sweep_below_its_least_grid_exits_one_with_one_line(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--eps", "0.1", "--N", "100", "--output", str(out)]) == 1
+    assert capsys.readouterr() == ("", "lsilab: error: need an integer n >= 2049, got 100\n")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# CSV reader: nothing reserved for the row cap
+# ---------------------------------------------------------------------------
+
+def test_verify_reads_a_short_csv_in_a_300_mib_child(tmp_path):
+    # np.loadtxt given max_rows = MAX_SAMPLES + 1 reserved 256 MiB before it read a row
+    write_grid_csv(_positive(UNIT_INTERVAL, 64), tmp_path / "f.csv")
+    proc = run_cli_limited(["verify", "--domain", "interval", "--input", "f.csv"], tmp_path,
+                           limit=300 << 20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("deficit=")
+
+
+def test_reading_a_short_csv_allocates_little(tmp_path):
+    path = tmp_path / "f.csv"
+    write_grid_csv(_positive(UNIT_INTERVAL, 4097), path)
+    read_grid_csv(path, "interval")  # warm caches and imports
+    assert _peak_bytes(lambda: read_grid_csv(path, "interval")) < 2**20
+
+
+def test_a_plain_csv_far_over_the_row_cap_is_refused_by_the_row_reader(tmp_path, monkeypatch):
+    monkeypatch.setattr(function_space, "MAX_SAMPLES", 64)
+    seen = []
+    read_rows = function_space._read_rows
+    monkeypatch.setattr(function_space, "_read_rows", lambda *a: seen.append(1) or read_rows(*a))
+    path = tmp_path / "long.csv"
+    write_grid_csv(sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, 1000), path)
+    with pytest.raises(InvalidInputError) as got:
+        read_grid_csv(path, "interval")
+    assert str(got.value) == f"{path}: more than 64 rows"
+    assert seen == [1]
