@@ -27,6 +27,8 @@ from .function_space import (
     _check_eps,
     _check_size,
     _cos_pi_x,
+    _cosine_series,
+    _random_trig_draws,
     _sharpness_values,
     _whole,
     differentiate,
@@ -375,6 +377,9 @@ DIAZ_FLAG_TOL = -1e-7
 #: Gap between zero and the minimum of a random admissible function.
 ADMISSIBLE_SHIFT = 0.01
 
+#: Most samples in one batch of the probe's random trials (256 KiB of float64).
+_PROBE_BATCH = 2**15
+
 
 def random_admissible_function(
     domain: Domain,
@@ -387,16 +392,21 @@ def random_admissible_function(
     """Random trigonometric polynomial shifted so its minimum is
     ADMISSIBLE_SHIFT and, optionally, normalized to unit squared mass.
 
-    The polynomial is ``sample_family(RANDOM_TRIG, [seed, modes], domain, n)``:
-    a cosine series on intervals, and on circles a Fourier series synthesized
-    by :func:`from_fourier`, which needs 2*modes + 1 <= n."""
-    raw = sample_family(Family.RANDOM_TRIG, [seed, modes], domain, n)
-    values = raw.values - float(np.min(raw.values))
-    values += ADMISSIBLE_SHIFT
+    The polynomial is ``sample_family(RANDOM_TRIG, [seed, modes], domain, n)``: a cosine series
+    on intervals, which :func:`diaz_probe` builds with the same bytes in batches of 2**15 samples
+    at most, and on circles a Fourier series synthesized by :func:`from_fourier` (2*modes + 1 <= n)."""
+    values = _lift(sample_family(Family.RANDOM_TRIG, [seed, modes], domain, n).values.copy())
     f = GridFunction._adopt(domain, values)
     if normalize:
         f = GridFunction._adopt(domain, values / math.sqrt(squared_mass(f)))
     return f
+
+
+def _lift(values: np.ndarray) -> np.ndarray:
+    """``values`` shifted in place so that the minimum of each row is ADMISSIBLE_SHIFT."""
+    values -= np.min(values, axis=-1, keepdims=True)
+    values += ADMISSIBLE_SHIFT
+    return values
 
 
 def diaz_probe(
@@ -409,25 +419,30 @@ def diaz_probe(
 ) -> DiazProbeReport:
     """Evaluate the power-mean deficit over random positive functions.
 
-    The same trial functions are used for every exponent, so the report
-    is bit-reproducible for a fixed seed, and every minimum equals the one
-    per-exponent :func:`diaz_deficit` calls give. Only the counterexample
-    witnesses are kept.
+    Trial 0 is the constant 1 and trial t >= 1 is, bit for bit, ``random_admissible_function(
+    UNIT_INTERVAL, modes, seed + t, n, normalize=False)``, built in batches of at most _PROBE_BATCH
+    samples, one at a time, that evaluate each cosine once. Every exponent sees the same trials, so
+    each minimum equals the one per-exponent :func:`diaz_deficit` calls give. Only witnesses are kept.
     """
     trials = _whole(trials, 1, f"need an integer trials >= 1, got {trials}")
     n = _check_size(n)
+    seed = _whole(seed, 0, "seed must be a nonnegative integer")
     modes = _whole(modes, 1, "mode count must be an integer >= 1")
     for q in q_list:  # before any trial is drawn
         _check_q(q)
-    rows, witnesses = [], {}
+    rows, witnesses, step = [], {}, max(1, _PROBE_BATCH // n)
     for t in range(trials):
         if t == 0:
             f = sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, n)
         else:
-            f = random_admissible_function(UNIT_INTERVAL, modes, seed + t, n, normalize=False)
+            if (t - 1) % step == 0:  # release the last batch before the next is built
+                f = batch = None
+                draws = [_random_trig_draws(UNIT_INTERVAL, seed + s, modes, n) for s in range(t, trials)[:step]]
+                batch = _lift(_cosine_series(UNIT_INTERVAL, np.array(draws), n))
+            f = GridFunction._adopt(UNIT_INTERVAL, batch[(t - 1) % step])
         rows.append(_diaz_deficits(_check_nonnegative(f.values), differentiate(f).values, q_list))
         if any(deficit < DIAZ_FLAG_TOL for deficit in rows[-1]):
-            witnesses[t] = f
+            witnesses[t] = GridFunction(UNIT_INTERVAL, f.values)  # a copy, which holds no batch
     results, counterexamples = [], []
     for q, column in zip(q_list, np.array(rows).T):  # rows: trials x q
         argmin = int(np.argmin(column))

@@ -493,16 +493,15 @@ def sample_family(
     an n that is not a whole number in [1, MAX_SAMPLES], before anything is
     allocated.
 
-    RANDOM_TRIG draws c_0 and then, for k = 1..modes, one coefficient c_k on
-    intervals or a pair (alpha_k, beta_k) on circles, all N(0, 1) from
-    ``default_rng(seed)``. On an interval it samples the cosine series
-    c_0 + sum c_k cos(k*pi*u) / k^2. On a circle it is the Fourier series
-    a_0 = c_0, a_k = (alpha_k - i*beta_k) / (2 k^2), that is
-    c_0 + sum (alpha_k cos(2*pi*k*u) + beta_k sin(2*pi*k*u)) / k^2,
-    synthesized by :func:`from_fourier`. The grid must resolve every mode:
-    a circle needs 2*modes + 1 <= n and an interval modes <= n - 1, beyond
-    which cos(k*pi*u) on n nodes aliases onto 2(n - 1) - k. Otherwise
-    TruncationTooLargeError is raised before anything is drawn.
+    RANDOM_TRIG draws c_0 and then, for k = 1..modes, one coefficient c_k on intervals or a pair
+    (alpha_k, beta_k) on circles, all N(0, 1) from ``default_rng(seed)``. On an interval it
+    samples the cosine series c_0 + sum c_k cos(k*pi*u) / k^2, one row of the kernel that
+    :func:`diaz_probe` runs on batches of at most 2**15 samples, each row with the bytes of this
+    call. On a circle it is the Fourier series a_0 = c_0, a_k = (alpha_k - i*beta_k) / (2 k^2),
+    that is c_0 + sum (alpha_k cos(2*pi*k*u) + beta_k sin(2*pi*k*u)) / k^2, synthesized by
+    :func:`from_fourier`. The grid must resolve every mode: a circle needs 2*modes + 1 <= n and
+    an interval modes <= n - 1, beyond which cos(k*pi*u) on n nodes aliases onto 2(n - 1) - k.
+    Otherwise TruncationTooLargeError is raised before anything is drawn.
     """
     try:
         family = Family(family)
@@ -540,35 +539,40 @@ def sample_family(
         return GridFunction._adopt(domain, np.exp(values, out=values))
 
     # RANDOM_TRIG
-    seed, modes = _family_params(family, params, 2)
-    seed_i = _whole(seed, 0, "seed must be a nonnegative integer")
-    modes_i = _whole(modes, 1, "mode count must be an integer >= 1")
-    if modes_i > MAX_SAMPLES:
-        raise ParamOutOfRangeError(f"mode count must be at most {MAX_SAMPLES}, got {modes_i}")
-    if isinstance(domain, Interval) and modes_i > n - 1:
-        raise TruncationTooLargeError(
-            f"modes = {modes_i} exceeds n - 1 = {n - 1}; higher cosines alias on {n} samples"
-        )
-    if isinstance(domain, Circle) and 2 * modes_i + 1 > n:
-        raise TruncationTooLargeError(
-            f"2*modes + 1 = {2 * modes_i + 1} exceeds the {n} grid samples"
-        )
-    rng = np.random.default_rng(seed_i)
+    draws = _random_trig_draws(domain, *_family_params(family, params, 2), n)
     if isinstance(domain, Circle):
-        # one draw gives the same numbers as drawing c_0 and then each pair in turn
-        draws = rng.standard_normal(2 * modes_i + 1)
-        half = np.empty(modes_i + 1, dtype=complex)
-        half[0] = draws[0]
-        half[1:] = draws[1::2] - 1j * draws[2::2]
-        half[1:] /= 2.0 * np.arange(1, modes_i + 1, dtype=float) ** 2
+        half = np.concatenate([draws[:1], draws[1::2] - 1j * draws[2::2]])
+        half[1:] /= 2.0 * np.arange(1, half.size, dtype=float) ** 2
         return from_fourier(FourierSeries(domain.circumference, _Fresh(half)), n)
-    # Cosine-only series: derivative vanishes at both endpoints, which
-    # keeps the even reflection of these samples smooth.
+    return GridFunction._adopt(domain, _cosine_series(domain, draws[None], n)[0])
+
+
+def _random_trig_draws(domain: Domain, seed: int, modes: int, n: int) -> np.ndarray:
+    """The checked draws of RANDOM_TRIG [seed, modes] on n nodes; see :func:`sample_family`."""
+    seed = _whole(seed, 0, "seed must be a nonnegative integer")
+    modes = _whole(modes, 1, "mode count must be an integer >= 1")
+    if modes > MAX_SAMPLES:
+        raise ParamOutOfRangeError(f"mode count must be at most {MAX_SAMPLES}, got {modes}")
+    if isinstance(domain, Interval) and modes > n - 1:
+        raise TruncationTooLargeError(
+            f"modes = {modes} exceeds n - 1 = {n - 1}; higher cosines alias on {n} samples")
+    if isinstance(domain, Circle) and 2 * modes + 1 > n:
+        raise TruncationTooLargeError(f"2*modes + 1 = {2 * modes + 1} exceeds the {n} grid samples")
+    size = modes + 1 if isinstance(domain, Interval) else 2 * modes + 1
+    return np.random.default_rng(seed).standard_normal(size)
+
+
+def _cosine_series(domain: Interval, draws: np.ndarray, n: int) -> np.ndarray:
+    """c_0 + sum_k c_k cos(k*pi*u) / k^2 on the grid, one row per row (c_0..c_modes) of ``draws``.
+    Each cos(k*pi*u) is evaluated once for all rows; every row equals a one-row call bit for bit.
+    Cosine-only, so the derivative vanishes at both endpoints and the even reflection is smooth."""
     u = _unit_coordinate(domain, n)
-    values = np.full(n, rng.standard_normal())
-    for k in range(1, modes_i + 1):
-        values += rng.standard_normal() / k**2 * np.cos(k * math.pi * u)
-    return GridFunction._adopt(domain, values)
+    values = np.repeat(draws[:, :1], n, axis=1)
+    for k in range(1, draws.shape[1]):
+        cos_k = np.cos(k * math.pi * u)
+        for row, c in zip(values, draws[:, k] / k**2):
+            row += c * cos_k
+    return values
 
 
 def _cos_pi_x(domain: Domain, n: int) -> np.ndarray:
@@ -611,11 +615,7 @@ def _check_eps(eps: float) -> None:
 # ---------------------------------------------------------------------------
 
 def write_grid_csv(f: GridFunction, path: str | Path) -> None:
-    """CSV with header ``x,value``; circle grids omit the wrap point.
-
-    Numbers are written by ``repr``: numpy's string casts give the same
-    bytes but ran 1.6-1.8x slower than this loop.
-    """
+    """CSV with header ``x,value``, numbers written by ``repr``; circle grids omit the wrap point."""
     with open(path, "w", newline="") as handle:
         handle.write("x,value\n")
         handle.writelines(f"{xi!r},{vi!r}\n" for xi, vi in zip(f.x.tolist(), f.values.tolist()))

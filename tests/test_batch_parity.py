@@ -2,7 +2,8 @@
 per-call formulas they replace, and tripwires on the shared work.
 
 The sharpness sweep evaluates cos(pi x) once per call, the power-mean
-probe differentiates each trial once for all exponents, the log-Sobolev
+probe differentiates each trial once for all exponents and synthesizes its
+random trials in batches that evaluate each cosine once, the log-Sobolev
 report shares one walk over the weight blocks and one square between the
 mass and the entropy, and the interval stencil and the closed-form
 families are built in place. Each result must equal the per-call one
@@ -19,6 +20,7 @@ from lsilab import (
     GridFunction,
     Interval,
     PI_SQUARED,
+    ParamOutOfRangeError,
     UNIT_CIRCLE,
     UNIT_INTERVAL,
     Circle,
@@ -125,6 +127,59 @@ def test_probe_kernel_equals_per_exponent_deficits(clamped):
             for q in q_list]
     assert _diaz_deficits(_check_nonnegative(f.values), d, q_list) == want  # 257 nodes: one block
     assert [diaz_deficit(f, q) for q in q_list] == want
+
+
+@pytest.mark.parametrize("tol", [DIAZ_FLAG_TOL, 1.0], ids=["default-tol", "every-trial"])
+@pytest.mark.parametrize("n, modes", [(n, min(modes, n - 1)) for n in (17, 257, 2049) for modes in (1, 8, 64)])
+def test_probe_batches_equal_per_trial_sampling(monkeypatch, n, modes, tol):
+    # two trials per batch, so the six random trials of a 7-trial probe span three batches
+    monkeypatch.setattr(experiments, "_PROBE_BATCH", 2 * n)
+    monkeypatch.setattr(experiments, "DIAZ_FLAG_TOL", tol)
+    batches = []
+    real = experiments._cosine_series
+
+    def recording(domain, draws, n):
+        batches.append(len(draws))
+        return real(domain, draws, n)
+
+    monkeypatch.setattr(experiments, "_cosine_series", recording)
+    q_list, trials, seed = [1.25, 1.5, 2.0], 7, 11
+    report = diaz_probe(q_list, trials, seed, n=n, modes=modes)
+    assert batches == [2, 2, 2]
+    functions = _trials(trials, seed, n, modes)
+    witnesses = []
+    for q, result in zip(q_list, report.results):
+        deficits = [diaz_deficit(f, q) for f in functions]
+        argmin = int(np.argmin(deficits))
+        assert (result.min_deficit, result.argmin_trial) == (deficits[argmin], argmin)
+        assert result.flagged == (deficits[argmin] < tol)
+        witnesses += [(q, t, functions[t].values.tobytes()) for t, d in enumerate(deficits) if d < tol]
+    assert [(q, t, f.values.tobytes()) for q, t, f in report.counterexamples] == witnesses
+    if tol == 1.0:
+        assert len(witnesses) == len(q_list) * trials
+
+
+def test_probe_evaluates_each_cosine_once_per_batch(monkeypatch):
+    calls = []
+    cos = np.cos
+
+    def counting_cos(*args, **kwargs):
+        calls.append(args[0].size)
+        return cos(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counting_cos)
+    diaz_probe([1.25, 1.5, 2.0], 7, 3, n=257, modes=8)  # six random trials in one batch
+    assert calls == [257] * 8
+
+
+@pytest.mark.parametrize("seed, trials", [(-1, 5), (2.5, 1), (None, 1), (math.inf, 3)])
+def test_probe_checks_its_seed_before_any_draw(monkeypatch, seed, trials):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a draw before the seed check")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ParamOutOfRangeError, match="seed must be a nonnegative integer"):
+        diaz_probe([1.5], trials, seed, n=65, modes=4)
 
 
 def test_probe_differentiates_each_trial_once(monkeypatch):

@@ -1,8 +1,9 @@
 """The RANDOM_TRIG family: parity with the per-mode loop it replaced, and its parameter checks.
 
 On circles the family is one Fourier series synthesized by ``from_fourier``;
-on intervals it is still the cosine loop. ``_loop_reference`` keeps the
-per-mode loop that built both before, draw for draw, as the reference.
+on intervals it is one row of ``function_space._cosine_series``, the kernel
+that the power-mean probe calls on batches of trials. ``_loop_reference``
+keeps the per-mode loop that built both before, draw for draw, as the reference.
 """
 
 import math
