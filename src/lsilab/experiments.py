@@ -25,16 +25,16 @@ from .function_space import (
     Interval,
     UNIT_INTERVAL,
     _check_eps,
+    _check_modes,
     _check_size,
-    _cos_pi_x,
     _cosine_series,
+    _harmonic,
     _random_trig_draws,
     _sharpness_values,
     _whole,
     differentiate,
     fourier_from_dict,
     from_fourier,
-    grid_points,
     is_unit_circle,
     is_unit_interval,
     quadrature_weights,
@@ -91,13 +91,14 @@ def sharpness_sweep(eps_list: Sequence[float], n: int) -> list[SweepRecord]:
     Every epsilon is checked, and that n is a whole number in [2049,
     MAX_SAMPLES] (ParamOutOfRangeError otherwise), before any grid work.
     Each record is, bit for bit, the :func:`lsi_deficit_interval` report
-    of ``sample_family(Family.SHARPNESS, [eps], UNIT_INTERVAL, n)``.
+    of ``sample_family(Family.SHARPNESS, [eps], UNIT_INTERVAL, n)``, whose
+    cos(pi x) comes from one :func:`_harmonic` call for all epsilons.
     """
     n = _check_size(n, 2049)
     eps_list = sorted(eps_list, reverse=True)
     for eps in eps_list:
         _check_eps(eps)
-    cos_pi_x = _cos_pi_x(UNIT_INTERVAL, n)
+    cos_pi_x = _harmonic(UNIT_INTERVAL, n, 1)
     records = []
     for eps in eps_list:  # one member's arrays at a time
         r = lsi_deficit_interval(GridFunction._adopt(UNIT_INTERVAL, _sharpness_values(eps, cos_pi_x)))
@@ -135,15 +136,15 @@ def wang_ode_residual(eps: float, n: int) -> float:
     f'' - pi eps sin(pi x) f' = -pi^2 f log f.
 
     Both derivative factors come from applying :func:`differentiate`
-    twice, so the identity is exact in the continuum and the returned
-    value measures pure discretization error.
+    twice and sin(pi x) from :func:`_harmonic`, so the identity is exact
+    in the continuum and the returned value measures pure discretization error.
     """
     _check_eps(eps)
     n = _check_size(n, 513)
     f = sample_family(Family.WANG, [eps], UNIT_INTERVAL, n)
     first = differentiate(f)
     second = differentiate(first)
-    lhs = second.values - math.pi * eps * np.sin(math.pi * f.x) * first.values
+    lhs = second.values - math.pi * eps * _harmonic(UNIT_INTERVAL, n, 1, sine=True) * first.values
     rhs = -PI_SQUARED * f.values * np.log(f.values)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -181,24 +182,18 @@ RATIO_ENTROPY_FLOOR = 1e-10
 def _basis_matrix(domain: Domain, n_modes: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The optimizer basis on the grid, and the Dirichlet energy of each column.
 
-    On [0, 1] column m is cos(m pi x). On the circle column 0 is 1 and
-    columns 2m - 1 and 2m are cos(2 pi m x) and sin(2 pi m x). Column j
+    Column 0 is 1 and the others come from :func:`_harmonic`: column m is cos(m pi x) on [0, 1],
+    and on the circle columns 2m - 1 and 2m are cos(2 pi m x) and sin(2 pi m x). Column j
     solves -u'' = c m_j^2 u, c the sharp constant, and the columns are
     orthogonal with squared mass 1/2 for j > 0. So the energy of
     ``basis @ coefficients`` is exactly the sum of c m_j^2 / 2 * coefficients_j^2.
     """
-    x = grid_points(domain, n)
+    circle = not isinstance(domain, Interval)
+    harmonics = (np.arange(n_modes) + 1) // 2 if circle else np.arange(n_modes)
     basis = np.empty((n, n_modes))
     basis[:, 0] = 1.0
-    if isinstance(domain, Interval):
-        harmonics = np.arange(n_modes)
-        for k in range(1, n_modes):
-            basis[:, k] = np.cos(k * math.pi * x)
-    else:
-        harmonics = (np.arange(n_modes) + 1) // 2
-        for col in range(1, n_modes):
-            phase = 2.0 * math.pi * harmonics[col] * x
-            basis[:, col] = np.cos(phase) if col % 2 == 1 else np.sin(phase)
+    for col in range(1, n_modes):
+        basis[:, col] = _harmonic(domain, n, harmonics[col], sine=circle and col % 2 == 0)
     return basis, 0.5 * _geometry(domain)[1] * np.square(harmonics)
 
 
@@ -427,7 +422,7 @@ def diaz_probe(
     trials = _whole(trials, 1, f"need an integer trials >= 1, got {trials}")
     n = _check_size(n)
     seed = _whole(seed, 0, "seed must be a nonnegative integer")
-    modes = _whole(modes, 1, "mode count must be an integer >= 1")
+    modes = _check_modes(UNIT_INTERVAL, modes, n)
     for q in q_list:  # before any trial is drawn
         _check_q(q)
     rows, witnesses, step = [], {}, max(1, _PROBE_BATCH // n)

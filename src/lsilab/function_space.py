@@ -488,6 +488,7 @@ def sample_family(
       RANDOM_TRIG  [seed, modes]  trigonometric polynomial with N(0,1)/k^2
                                   coefficients drawn from the seed
 
+    COSINE_MODE, SHARPNESS and WANG take their cosine from :func:`_harmonic`.
     Integer parameters (k, seed, modes) must be finite whole numbers, and
     modes <= MAX_SAMPLES; anything else raises ParamOutOfRangeError. So does
     an n that is not a whole number in [1, MAX_SAMPLES], before anything is
@@ -519,22 +520,15 @@ def sample_family(
     if family is Family.COSINE_MODE:
         (k,) = _family_params(family, params, 1)
         mode = _whole(k, 1, "cosine mode index must be an integer >= 1")
-        u = _unit_coordinate(domain, n)
-        u *= math.pi * mode if isinstance(domain, Interval) else 2.0 * math.pi * mode
-        return GridFunction._adopt(domain, np.cos(u, out=u))
+        return GridFunction._adopt(domain, _harmonic(domain, n, mode))
 
-    if family is Family.SHARPNESS:
+    if family in (Family.SHARPNESS, Family.WANG):
         (eps,) = _family_params(family, params, 1)
         _check_eps(eps)
         _require_unit_interval(domain, family)
-        cos_pi_x = _cos_pi_x(domain, n)
-        return GridFunction._adopt(domain, _sharpness_values(eps, cos_pi_x, out=cos_pi_x))
-
-    if family is Family.WANG:
-        (eps,) = _family_params(family, params, 1)
-        _check_eps(eps)
-        _require_unit_interval(domain, family)
-        values = _cos_pi_x(domain, n)
+        values = _harmonic(domain, n, 1)  # cos(pi x)
+        if family is Family.SHARPNESS:
+            return GridFunction._adopt(domain, _sharpness_values(eps, values, out=values))
         values *= -eps
         return GridFunction._adopt(domain, np.exp(values, out=values))
 
@@ -550,6 +544,13 @@ def sample_family(
 def _random_trig_draws(domain: Domain, seed: int, modes: int, n: int) -> np.ndarray:
     """The checked draws of RANDOM_TRIG [seed, modes] on n nodes; see :func:`sample_family`."""
     seed = _whole(seed, 0, "seed must be a nonnegative integer")
+    modes = _check_modes(domain, modes, n)
+    size = modes + 1 if isinstance(domain, Interval) else 2 * modes + 1
+    return np.random.default_rng(seed).standard_normal(size)
+
+
+def _check_modes(domain: Domain, modes: int, n: int) -> int:
+    """``modes`` as an int, checked to be a whole number in [1, MAX_SAMPLES] that n nodes resolve."""
     modes = _whole(modes, 1, "mode count must be an integer >= 1")
     if modes > MAX_SAMPLES:
         raise ParamOutOfRangeError(f"mode count must be at most {MAX_SAMPLES}, got {modes}")
@@ -558,8 +559,7 @@ def _random_trig_draws(domain: Domain, seed: int, modes: int, n: int) -> np.ndar
             f"modes = {modes} exceeds n - 1 = {n - 1}; higher cosines alias on {n} samples")
     if isinstance(domain, Circle) and 2 * modes + 1 > n:
         raise TruncationTooLargeError(f"2*modes + 1 = {2 * modes + 1} exceeds the {n} grid samples")
-    size = modes + 1 if isinstance(domain, Interval) else 2 * modes + 1
-    return np.random.default_rng(seed).standard_normal(size)
+    return modes
 
 
 def _cosine_series(domain: Interval, draws: np.ndarray, n: int) -> np.ndarray:
@@ -575,10 +575,12 @@ def _cosine_series(domain: Interval, draws: np.ndarray, n: int) -> np.ndarray:
     return values
 
 
-def _cos_pi_x(domain: Domain, n: int) -> np.ndarray:
-    """cos(pi x) on the grid of ``domain``, evaluated in one array."""
-    values = grid_points(domain, n)
-    return np.cos(np.multiply(values, math.pi, out=values), out=values)
+def _harmonic(domain: Domain, n: int, k: int, sine: bool = False) -> np.ndarray:
+    """cos (or sin) of k*pi*u on intervals and of 2*pi*k*u on circles, u the unit coordinate, in one
+    fresh array: every closed-form harmonic on a grid but the batched :func:`_cosine_series`'s."""
+    u = _unit_coordinate(domain, n)
+    u *= math.pi * k if isinstance(domain, Interval) else 2.0 * math.pi * k
+    return (np.sin if sine else np.cos)(u, out=u)  # looked up per call, so tests can count them
 
 
 def _sharpness_values(eps: float, cos_pi_x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -589,11 +591,13 @@ def _sharpness_values(eps: float, cos_pi_x: np.ndarray, out: np.ndarray | None =
 
 
 def _unit_coordinate(domain: Domain, n: int) -> np.ndarray:
-    """The grid mapped onto [0, 1]: (x - a) / L on intervals, x / L on circles."""
+    """The grid mapped onto [0, 1]: (x - a) / L on intervals, x / L on circles. The exact no-ops
+    x - 0 and x / 1 are skipped, so the unit domains take no pass beyond the grid."""
     u = grid_points(domain, n)
-    if isinstance(domain, Interval):
+    if isinstance(domain, Interval) and domain.a != 0.0:
         u -= domain.a
-    u /= domain.length
+    if domain.length != 1.0:
+        u /= domain.length
     return u
 
 

@@ -554,6 +554,8 @@ def test_each_command_takes_only_the_flags_it_reads():
     (["diaz", "--q", "1.5", "--trials", "2", "--n-max", "8"], "unrecognized arguments: --n-max 8"),
     (["diaz", "--q", "1.5", "--N", "16", "--modes", "64"],
      "modes = 64 exceeds n - 1 = 15; higher cosines alias on 16 samples"),
+    (["diaz", "--q", "1.5", "--trials", "1", "--N", "16", "--modes", "64"],  # no random trial
+     "modes = 64 exceeds n - 1 = 15; higher cosines alias on 16 samples"),
     (["optimize", "--seed", "-1"], "seed must be a nonnegative integer"),
     (["diaz", "--q", "1.5", "--trials", "5", "--seed", "-1"], "seed must be a nonnegative integer"),
     (["sweep", "--eps", "1e-300,0.1,0.05", "--extrapolate"],  # 1e-300 has no ratio

@@ -1,14 +1,42 @@
-"""Every error class the library declares is raised somewhere in it.
+"""Every error class the library declares is raised somewhere in it, and
+each check of outside input raises its class with its message.
 
 A class that nothing raises is dead API: callers could catch it, but it
 never arrives. This walks the syntax tree of ``lsilab/errors.py`` for the
 declared classes and of every library module for ``raise`` statements.
+The table at the end reaches the input checks that no other in-process
+test executes.
 """
 
 import ast
+import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import lsilab
+from lsilab import (
+    Circle,
+    DomainMismatchError,
+    FourierSeries,
+    Interval,
+    InvalidInputError,
+    ParamOutOfRangeError,
+    UNIT_CIRCLE,
+    UNIT_INTERVAL,
+    ZeroMassError,
+    affine_normalize,
+    diaz_deficit,
+    fourier_from_dict,
+    lsi_deficit_circle,
+    lsi_deficit_density_form,
+    lsi_deficit_general,
+    minimize_deficit,
+    read_grid_csv,
+    sample_family,
+    wirtinger_deficit,
+)
 
 PACKAGE = Path(lsilab.__file__).parent
 
@@ -40,3 +68,67 @@ def test_the_check_sees_declared_and_raised_names():
 def test_every_declared_error_is_raised():
     raised = set().union(*(raised_names(p.read_text()) for p in PACKAGE.glob("*.py")))
     assert sorted(declared_errors((PACKAGE / "errors.py").read_text()) - raised) == []
+
+
+def _constant(domain, c=1.0, n=17):
+    return sample_family("constant", [c], domain, n)
+
+
+def _backwards_circle_csv(path):
+    """A circle grid file whose x column decreases."""
+    path.write_text("x,value\n" + "".join(f"{-i / 16!r},1.0\n" for i in range(16)))
+    return path
+
+
+#: (id, call of a scratch directory, error class, message; {path} is the file the call reads).
+INPUT_CHECKS = [
+    ("with_values-length", lambda tmp: _constant(UNIT_INTERVAL).with_values(np.ones(16)),
+     InvalidInputError, "replacement values must keep the grid size"),
+    ("series-zero-circumference", lambda tmp: FourierSeries(0.0, [1.0]),
+     InvalidInputError, "circumference must be positive and finite"),
+    ("series-negative-circumference", lambda tmp: FourierSeries(-1.0, [1.0]),
+     InvalidInputError, "circumference must be positive and finite"),
+    ("series-empty-half", lambda tmp: FourierSeries(1.0, []),
+     InvalidInputError, "half must be a nonempty vector a_0..a_{n_max}"),
+    ("series-2d-half", lambda tmp: FourierSeries(1.0, [[1.0, 0.5]]),
+     InvalidInputError, "half must be a nonempty vector a_0..a_{n_max}"),
+    ("series-nan", lambda tmp: FourierSeries(1.0, [1.0, math.nan]),
+     InvalidInputError, "coefficients must be finite"),
+    ("fourier_from_dict-empty", lambda tmp: fourier_from_dict(1.0, {}),
+     InvalidInputError, "need at least one coefficient"),
+    ("constant-inf", lambda tmp: sample_family("constant", [math.inf], UNIT_INTERVAL, 17),
+     ParamOutOfRangeError, "constant must be finite"),
+    ("family-parameter-count", lambda tmp: sample_family("sharpness", [0.1, 0.2], UNIT_INTERVAL, 17),
+     ParamOutOfRangeError, "family sharpness takes 1 parameter(s), got 2"),
+    ("csv-kind", lambda tmp: read_grid_csv(tmp / "f.csv", "disk"),
+     InvalidInputError, "unknown domain kind 'disk'"),
+    ("csv-circle-decreasing", lambda tmp: read_grid_csv(_backwards_circle_csv(tmp / "f.csv"), "circle"),
+     InvalidInputError, "{path}: x column must be increasing"),
+    ("init-length", lambda tmp: minimize_deficit(UNIT_INTERVAL, 4, 0, 5, n=65, init=[1.0, 0.5, 0.2]),
+     ParamOutOfRangeError, "init must have 4 coefficients"),
+    ("init-zero", lambda tmp: minimize_deficit(UNIT_CIRCLE, 4, 0, 5, n=64, init=[0.0] * 4),
+     ParamOutOfRangeError, "iterate collapsed to the zero function"),
+    ("circle-deficit-domain", lambda tmp: lsi_deficit_circle(_constant(UNIT_INTERVAL)),
+     DomainMismatchError, "circle deficit requires a circle domain"),
+    ("general-deficit-domain", lambda tmp: lsi_deficit_general(_constant(UNIT_CIRCLE)),
+     DomainMismatchError, "general deficit requires an interval domain"),
+    ("density-form-domain", lambda tmp: lsi_deficit_density_form(_constant(Circle(2.0))),
+     DomainMismatchError, "density form requires an interval domain"),
+    ("density-form-zero-mean", lambda tmp: lsi_deficit_density_form(_constant(UNIT_INTERVAL, 1e-12)),
+     ZeroMassError, "mean 1.000e-12 is numerically zero"),
+    ("wirtinger-domain", lambda tmp: wirtinger_deficit(_constant(Interval(0.0, 2.0))),
+     DomainMismatchError, "Wirtinger deficit requires the domain [0, 1]"),
+    ("diaz-domain", lambda tmp: diaz_deficit(_constant(UNIT_CIRCLE), 1.5),
+     DomainMismatchError, "power-mean deficit requires the domain [0, 1]"),
+    ("affine-normalize-domain", lambda tmp: affine_normalize(_constant(UNIT_CIRCLE)),
+     DomainMismatchError, "affine normalization requires an interval domain"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in INPUT_CHECKS],
+                         ids=[row[0] for row in INPUT_CHECKS])
+def test_each_input_check_raises_its_class_and_message(tmp_path, call, error, message):
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert type(info.value) is error
+    assert str(info.value) == message.replace("{path}", str(tmp_path / "f.csv"))
