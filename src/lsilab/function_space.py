@@ -24,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
+from typing import Iterable, NamedTuple, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -224,8 +224,8 @@ def quadrature_weights(domain: Domain, n: int) -> np.ndarray:
     both parities; when the panel count is odd, Simpson covers all but
     the last three panels, which Simpson's 3/8 rule closes.
 
-    Every integral walks :func:`_blocks` but two: the interval Dirichlet energy squares a
-    full derivative, and the optimizer's gradient weights every node.
+    Every integral is one :func:`_integrals` walk but two: the interval Dirichlet energy
+    squares a full derivative, and the optimizer's gradient weights every node.
     """
     if isinstance(domain, Circle):
         return np.full(n, domain.circumference / n)
@@ -245,27 +245,20 @@ def _simpson_weights(domain: Interval, n: int, lo: int, hi: int) -> np.ndarray:
     return w
 
 
-def _blocks(domain: Domain, n: int) -> Iterator[tuple[int, int, np.ndarray | None]]:
-    """``(lo, hi, w)`` for each block of BLOCK nodes: w the Simpson weights of nodes lo..hi-1
-    on intervals (the blocks between share one array), None on circles (the step L/n)."""
-    w = None
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
-        if isinstance(domain, Interval) and not BLOCK < lo <= n - 4 - BLOCK:
-            w = _simpson_weights(domain, n, lo, hi)
-        yield lo, hi, w
-
-
 def integrate(f: GridFunction) -> float:
     """Integral of f over its domain (trapezoid on circles, Simpson on intervals)."""
     return _integrals(f.domain, f.n, lambda lo, hi: [f.values[lo:hi]])[0]
 
 
 def _integrals(domain: Domain, n: int, integrands) -> list[float]:
-    """The integrals of the block arrays ``integrands(lo, hi)`` gives, in order, in one walk
-    over :func:`_blocks`: each block adds ``w @ x``, or ``sum(x * (L/n))`` on circles."""
-    step, totals = domain.length / n, itertools.repeat(0.0)
-    for lo, hi, w in _blocks(domain, n):
+    """The integrals of the arrays ``integrands(lo, hi)`` gives for each block of BLOCK nodes, in
+    order: each adds ``w @ x``, w its Simpson weights (one array for the middle blocks), or
+    on circles ``sum(x * (L/n))``."""
+    step, totals, w = domain.length / n, itertools.repeat(0.0), None
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        if isinstance(domain, Interval) and not BLOCK < lo <= n - 4 - BLOCK:
+            w = _simpson_weights(domain, n, lo, hi)
         totals = [t + float(np.sum(x * step) if w is None else w @ x)
                   for t, x in zip(totals, integrands(lo, hi))]
     return totals
@@ -376,6 +369,7 @@ class FourierSeries:
         return self.half.size - 1
 
     def coefficient(self, n: int) -> complex:
+        n = _whole(n, -math.inf, "mode indices must be integers")
         if abs(n) > self.n_max:
             return 0.0 + 0.0j
         return complex(self.half[n]) if n >= 0 else complex(self.half[-n]).conjugate()

@@ -26,9 +26,10 @@ with values in [-1e-12, 0] clamped to zero to absorb synthesis
 round-off.
 
 Every sampled integral is one walk of ``function_space._integrals`` over blocks
-of BLOCK nodes and their Simpson weights, but two: the mass-entropy pair of
-``_square_integrals`` keeps its own walk for its circle rounding, and the interval
-Dirichlet energy dots a full squared derivative with one full weight vector.
+of BLOCK nodes and their Simpson weights (the step L/n on circles), but one: the
+interval Dirichlet energy dots a full squared derivative with one full weight
+vector. The log-Sobolev report squares each node once for its mass and its entropy,
+and ``_entropy_integrand`` is the one place f^2 log f is formed.
 
 The mass, entropy, energy and Fisher integrals, and the log-Sobolev and
 Wirtinger deficits built from them, raise :class:`InvalidInputError`
@@ -61,7 +62,6 @@ from .function_space import (
     GridFunction,
     Interval,
     UNIT_INTERVAL,
-    _blocks,
     _integrals,
     differentiate,
     integrate,
@@ -117,11 +117,13 @@ REPORT_CSV_HEADER = "mass,entropy,energy,constant,deficit,ratio"
 # Basic functionals
 # ---------------------------------------------------------------------------
 
-def _entropy_integrand(values: np.ndarray) -> np.ndarray:
-    """v^2 log v with 0^2 log 0 = 0; ``values`` must be nonnegative."""
-    out = np.where(values > 0.0, values, 1.0)
-    np.log(out, out=out)
-    out *= values * values
+def _entropy_integrand(values: np.ndarray, square=None, low: float = 0.0) -> np.ndarray:
+    """v^2 log v, log v read as 0 where v <= 0, so the clamp band [-NEGATIVE_TOL, 0) gives 0: the
+    one place f^2 log f is formed. ``square`` is v * v if at hand; ``low``, min v, > 0 skips the mask."""
+    out = np.log(values) if low > 0.0 else np.where(values > 0.0, values, 1.0)
+    if low <= 0.0:  # the log of the masked copy, in place
+        np.log(out, out=out)
+    out *= values * values if square is None else square
     return out
 
 
@@ -147,31 +149,10 @@ def _finite(value, name: str) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _square_integrals(f: GridFunction) -> tuple[float, float, float]:
-    """``(integral f^2, integral f^2 log f, min f)``, unchecked, log f read as 0 where f <= 0,
-    in one walk over :func:`_blocks`: each block dotted with its Simpson weights, or summed
-    on circles after the square is scaled by the step L/n and then multiplied by log f, a
-    rounding order the entropies keep and :func:`_integrals` does not share."""
-    values, n = f.values, f.n
-    low = float(np.min(values))
-    square, scratch = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK))
-    mass, ent = 0.0, 0.0
-    for lo, hi, weights in _blocks(f.domain, n):
-        v = values[lo:hi]
-        sq = np.multiply(v, v, out=square[:v.size])
-        if weights is None:  # no partial sum of f^2 or f^2 log f overflows before the integral
-            sq *= f.domain.circumference / n
-        mass += float(np.sum(sq) if weights is None else weights @ sq)
-        lg = np.log(v if low > 0.0 else np.where(v > 0.0, v, 1.0), out=scratch[:v.size])
-        lg *= sq
-        ent += float(np.sum(lg) if weights is None else weights @ lg)
-    return mass, ent, low
-
-
 def entropy(f: GridFunction) -> float:
     """integral of f^2 log f, with 0^2 log 0 = 0."""
-    _, ent, low = _square_integrals(f)
-    _check_low(low)
+    values, low = f.values, _check_low(float(np.min(f.values)))
+    (ent,) = _integrals(f.domain, f.n, lambda lo, hi: [_entropy_integrand(values[lo:hi], None, low)])
     return _finite(ent, "entropy")
 
 
@@ -233,6 +214,7 @@ def _geometry(domain) -> tuple[float, float]:
     return 1.0, FOUR_PI_SQUARED
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _log_sobolev_report(f: GridFunction, unit_mass: bool = False) -> FunctionalReport:
     """``energy - (c / L^2) * (entropy - L * m^2 * log m)``, m the root mean square.
 
@@ -243,7 +225,14 @@ def _log_sobolev_report(f: GridFunction, unit_mass: bool = False) -> FunctionalR
     are checked in this order: the energy, the mass, the sign, the entropy.
     """
     length, c = _geometry(f.domain)
-    mass, ent, low = _square_integrals(f)  # raises nothing, so first, while f is in cache
+    values, low = f.values, float(np.min(f.values))
+
+    def integrands(lo, hi):  # each node squared once, for the mass and the entropy
+        v = values[lo:hi]
+        square = v * v
+        return [square, _entropy_integrand(v, square, low)]
+
+    mass, ent = _integrals(f.domain, f.n, integrands)  # raises nothing, so first, while f is in cache
     energy = dirichlet_energy(f)
     mass = _finite(mass, "integral of f^2")
     if unit_mass:
@@ -346,9 +335,12 @@ def weissler_bound(series: FourierSeries, power: WeightPower | str) -> float:
     ``w(n) = |n|`` or ``n^2``, the sum taken as 2 sum_{n>=1} over the a_0..a_{n_max}
     that synthesis reads. The coefficients and the entropy they bound both use the
     unit-mass measure on the circle, so M equals the squared L2 norm. M or the bound
-    overflowing float64 raises InvalidInputError.
+    overflowing float64 raises InvalidInputError, an unknown power ParamOutOfRangeError.
     """
-    power = WeightPower(power)
+    try:
+        power = WeightPower(power)
+    except ValueError:
+        raise ParamOutOfRangeError(f"unknown weight power {power!r}") from None
     n = np.arange(1, series.n_max + 1)
     weights = n if power is WeightPower.ABS_N else n.astype(float) ** 2
     mode_term = 2.0 * float(weights @ (np.abs(series.half[1:]) ** 2))

@@ -4,10 +4,10 @@ per-call formulas they replace, and tripwires on the shared work.
 The sharpness sweep evaluates cos(pi x) once per call, the power-mean
 probe differentiates each trial once for all exponents and synthesizes its
 random trials in batches that evaluate each cosine once, the log-Sobolev
-report shares one walk over the weight blocks and one square between the
-mass and the entropy, and the interval stencil and the closed-form
-families are built in place. Each result must equal the per-call one
-with ``==``.
+report's one walk of ``_integrals`` squares each node once for the mass
+and the entropy and skips the entropy's mask on positive input, and the
+interval stencil and the closed-form families are built in place. Each
+result must equal the per-call one with ``==``.
 """
 
 import math
@@ -219,7 +219,8 @@ def test_entropy_fast_path_equals_the_masked_integrand(case):
         integrand = _entropy_integrand(_check_nonnegative(values))
         if isinstance(domain, Interval):
             want = float(quadrature_weights(domain, f.n) @ integrand)
-        else:  # the circle rule: log f times the square scaled by L/n, summed in one block
+        else:  # log f times the square scaled by L/n in one block; the walker's (f^2 log f)
+            # times L/n sums to the same bits on these inputs
             square = values * values * (domain.circumference / f.n)
             want = float(np.sum(np.log(np.where(values > 0.0, values, 1.0)) * square))
         assert entropy(f) == want

@@ -1,22 +1,29 @@
 """Every sampled integral walks the nodes in blocks of BLOCK.
 
-One walk gives the squared mass and the entropy, with slices of the
-Simpson weights on intervals and the step L/n times the sum on circles;
-``integrate``, the Fisher report, the Wirtinger deficit and the
-power-mean deficits walk the same blocks. Grids of up to BLOCK nodes
-must equal the full-grid ``w @ integrand`` (``sum((L/n) * integrand)``
+``function_space._integrals`` holds the one loop over node blocks, with
+slices of the Simpson weights on intervals and the step L/n times the sum
+on circles. The squared mass, the entropy, the log-Sobolev report (one
+square per node for both), ``integrate``, the Fisher report, the Wirtinger
+deficit and the power-mean deficits are walks of it. Grids of up to BLOCK
+nodes must equal the full-grid ``w @ integrand`` (``sum((L/n) * integrand)``
 on circles) with ``==``; every grid must agree with a ``math.fsum``
 reference of the same weighted integrand within :func:`_fsum_bound`.
-Apart from the interval Dirichlet energy, none of them builds the
-weights of more than BLOCK nodes. No computed float is frozen here.
+Apart from the interval Dirichlet energy, none of them builds the weights
+of more than BLOCK nodes. The mass-entropy walk the report had before it
+joined ``_integrals`` is kept below as a reference, and a syntax-tree
+tripwire keeps every ``np.log`` of the library in its four holders. No
+computed float is frozen here.
 """
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lsilab
 from lsilab import (
     PI_SQUARED,
     Circle,
@@ -43,7 +50,7 @@ from lsilab import (
     wirtinger_deficit,
 )
 from lsilab import function_space
-from lsilab.function_space import BLOCK, DERIVATIVE_OVERFLOW, quadrature_weights
+from lsilab.function_space import BLOCK, DERIVATIVE_OVERFLOW, is_unit_circle, quadrature_weights
 from lsilab.functionals import (
     _check_nonnegative,
     _entropy_integrand,
@@ -114,6 +121,81 @@ def test_interval_sums_up_to_one_block_equal_the_full_dot(domain, n, case):
     else:
         want = float(w @ _entropy_integrand(_check_nonnegative(values)))
     assert entropy(f) == want
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _old_square_integrals(f):
+    """``(integral f^2, integral f^2 log f)`` as the report's own walk gave them before it
+    joined ``_integrals``: log f read as 0 where f <= 0, each block dotted with its Simpson
+    weights, or summed on circles after the square is scaled by the step L/n and then
+    multiplied by log f."""
+    values, n = f.values, f.n
+    low = float(np.min(values))
+    weights = None if isinstance(f.domain, Circle) else quadrature_weights(f.domain, n)
+    mass, ent = 0.0, 0.0
+    for lo in range(0, n, BLOCK):
+        v = values[lo:lo + BLOCK]
+        sq = v * v
+        if weights is None:
+            sq *= f.domain.circumference / n
+        w = None if weights is None else weights[lo:lo + BLOCK]
+        mass += float(np.sum(sq) if w is None else w @ sq)
+        lg = np.log(v if low > 0.0 else np.where(v > 0.0, v, 1.0))
+        lg *= sq
+        ent += float(np.sum(lg) if w is None else w @ lg)
+    return mass, ent
+
+
+def _merged_integrals(f):
+    """The squared mass and the entropy, alone and from the report where its domain allows one."""
+    got = [(squared_mass(f), entropy(f))]
+    if not isinstance(f.domain, Circle) or is_unit_circle(f.domain):
+        report = _log_sobolev_report(f)
+        got.append((report.mass, report.entropy))
+    return got
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("domain", DOMAINS[:2], ids=["unit-interval", "interval"])
+def test_interval_integrals_equal_the_old_mass_entropy_walk(domain, n, case):
+    f = GridFunction(domain, _values(case, n))
+    got = _merged_integrals(f)
+    assert got == [_old_square_integrals(f)] * len(got)
+
+
+#: Circles whose step L/n is a power of two, so scaling by it is exact in either order.
+EXACT_STEP_CIRCLES = [(UNIT_CIRCLE, 16), (UNIT_CIRCLE, 8192), (UNIT_CIRCLE, 65536),
+                      (UNIT_CIRCLE, 131072), (Circle(2.0), 4096)]
+
+#: Circles whose step is not: the step scales f^2 log f, not f^2, and the last bit may move.
+ROUNDED_STEP_CIRCLES = [(UNIT_CIRCLE, 17), (UNIT_CIRCLE, 8193), (Circle(3.0), 4096),
+                        (Circle(3.0), 8193), (Circle(49 * (1 / 49)), 4096),
+                        (Circle(49 * (1 / 49)), 8193)]
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("domain, n", EXACT_STEP_CIRCLES,
+                         ids=[f"L{d.circumference:g}-{n}" for d, n in EXACT_STEP_CIRCLES])
+def test_circle_integrals_with_an_exact_step_equal_the_old_walk(domain, n, case):
+    f = GridFunction(domain, _values(case, n))
+    got = _merged_integrals(f)
+    assert got == [_old_square_integrals(f)] * len(got)
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("domain, n", ROUNDED_STEP_CIRCLES,
+                         ids=[f"L{d.circumference!r}-{n}" for d, n in ROUNDED_STEP_CIRCLES])
+def test_other_circle_integrals_agree_with_the_old_walk(domain, n, case):
+    values = _values(case, n)
+    f = GridFunction(domain, values)
+    old_mass, old_ent = _old_square_integrals(f)
+    step = domain.circumference / n
+    mass_terms = step * (values * values)
+    ent_terms = step * _entropy_integrand(_check_nonnegative(values))
+    for mass, ent in _merged_integrals(f):
+        assert abs(mass - old_mass) <= _fsum_bound(mass_terms, n)
+        assert abs(ent - old_ent) <= _fsum_bound(ent_terms, n)
 
 
 def _full(domain, x):
@@ -218,6 +300,21 @@ def test_huge_circle_samples_overflow_only_where_their_integral_does():
         entropy(GridFunction(UNIT_CIRCLE, np.full(131072, 1e154)))
 
 
+@pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_CIRCLE], ids=["interval", "circle"])
+def test_a_spike_overflows_the_entropy_where_its_square_times_log_does(domain):
+    # f^2 log f is formed before the weight or the step scales it, on both domains: a node
+    # of 1e153 gives 3.5e308, past float64, though the integral itself would be finite
+    for spike, overflows in ((1e152, False), (1e153, True)):
+        values = np.ones(65536)
+        values[12345] = spike
+        f = GridFunction(domain, values)
+        if overflows:
+            with pytest.raises(InvalidInputError, match="^entropy overflows float64; rescale the input$"):
+                entropy(f)
+        else:
+            assert math.isfinite(entropy(f))
+
+
 @pytest.mark.parametrize("n", [65, 8193, 65537])
 def test_not_normalized_comes_before_negative(n):
     values = np.full(n, 2.0)
@@ -274,3 +371,50 @@ def test_each_derivative_is_checked_once(monkeypatch, domain):
     with np.errstate(all="ignore"), pytest.raises(InvalidInputError) as raised:
         differentiate(huge)
     assert str(raised.value) == DERIVATIVE_OVERFLOW == "derivative overflows float64; rescale the input"
+
+
+# ---------------------------------------------------------------------------
+# tripwire: where the library takes a logarithm of an array
+# ---------------------------------------------------------------------------
+
+PACKAGE = Path(lsilab.__file__).parent
+
+#: f^2 log f in ``_entropy_integrand`` alone; the Fisher report's f log f, the optimizer
+#: gradient's 2 g log|g| + g, and the Wang residual's f log f.
+LOG_HOLDERS = {"_entropy_integrand", "_fisher_report", "minimize_deficit", "wang_ode_residual"}
+
+
+def log_owners(source: str) -> set[str | None]:
+    """Names of the outermost functions that refer to ``np.log`` or ``numpy.log``; None at
+    module level, where ``from numpy import log`` also counts."""
+    found = set()
+
+    def visit(node, owner):
+        if owner is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in ("np", "numpy") and node.attr == "log":
+            found.add(owner)
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy" \
+                and any(alias.name == "log" for alias in node.names):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_log_tripwire_names_the_outermost_holder():
+    source = (
+        "from numpy import log\n"
+        "def f(x):\n    return np.log(x)\n"
+        "def g(x):\n    def h():\n        return numpy.log(x)\n    return h\n"
+        "def k(x):\n    return math.log(x), np.log1p(x), np.exp(x)\n"
+    )
+    assert log_owners(source) == {None, "f", "g"}
+
+
+def test_every_array_log_sits_in_its_holders():
+    holders = set().union(*(log_owners(p.read_text()) for p in PACKAGE.glob("*.py")))
+    assert holders == LOG_HOLDERS

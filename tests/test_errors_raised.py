@@ -35,6 +35,7 @@ from lsilab import (
     minimize_deficit,
     read_grid_csv,
     sample_family,
+    weissler_bound,
     wirtinger_deficit,
 )
 
@@ -94,6 +95,13 @@ INPUT_CHECKS = [
      InvalidInputError, "half must be a nonempty vector a_0..a_{n_max}"),
     ("series-nan", lambda tmp: FourierSeries(1.0, [1.0, math.nan]),
      InvalidInputError, "coefficients must be finite"),
+    ("weissler-power", lambda tmp: weissler_bound(FourierSeries(1.0, [1.0, 0.1]), "bad"),
+     ParamOutOfRangeError, "unknown weight power 'bad'"),
+    ("coefficient-fraction", lambda tmp: FourierSeries(1.0, [1.0, 0.4, 0.2, 0.1]).coefficient(2.5),
+     ParamOutOfRangeError, "mode indices must be integers"),
+    ("coefficient-fraction-past-n_max",
+     lambda tmp: FourierSeries(1.0, [1.0, 0.4, 0.2, 0.1]).coefficient(3.5),
+     ParamOutOfRangeError, "mode indices must be integers"),
     ("fourier_from_dict-empty", lambda tmp: fourier_from_dict(1.0, {}),
      InvalidInputError, "need at least one coefficient"),
     ("constant-inf", lambda tmp: sample_family("constant", [math.inf], UNIT_INTERVAL, 17),

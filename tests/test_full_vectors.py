@@ -1,9 +1,9 @@
 """Only the integrals that need every node's weight at once build a full weight vector.
 
-Every other sampled integral walks ``function_space._blocks``. This walks
-the syntax tree of every library module for calls of ``quadrature_weights``
-and ``_blocks`` and for ``range(..., ..., BLOCK)`` loops, and names the
-function each sits in.
+Every other sampled integral is one walk of ``function_space._integrals``,
+which holds the only loop over node blocks. This walks the syntax tree of
+every library module for calls of ``quadrature_weights`` and for
+``range(..., ..., BLOCK)`` loops, and names the function each sits in.
 """
 
 import ast
@@ -17,12 +17,8 @@ PACKAGE = Path(lsilab.__file__).parent
 #: optimizer's gradient weights every node.
 FULL_VECTOR_HOLDERS = {"dirichlet_energy", "minimize_deficit"}
 
-#: ``_blocks`` walks the nodes; the circle energy walks its Fourier modes.
-BLOCK_LOOPS = {"_blocks", "dirichlet_energy"}
-
-#: The one walker of node integrals, and the mass-entropy pair, which keeps
-#: its own walk for the rounding of its circle entropies.
-BLOCK_WALKERS = {"_integrals", "_square_integrals"}
+#: ``_integrals`` walks the nodes; the circle energy walks its Fourier modes.
+BLOCK_LOOPS = {"_integrals", "dirichlet_energy"}
 
 
 def _name(node) -> str | None:
@@ -34,10 +30,6 @@ def _name(node) -> str | None:
 
 def calls_weights(call: ast.Call) -> bool:
     return _name(call.func) == "quadrature_weights"
-
-
-def calls_blocks(call: ast.Call) -> bool:
-    return _name(call.func) == "_blocks"
 
 
 def loops_over_blocks(call: ast.Call) -> bool:
@@ -79,9 +71,5 @@ def test_only_the_full_vector_holders_call_quadrature_weights():
     assert _library_owners(calls_weights) == FULL_VECTOR_HOLDERS
 
 
-def test_blocks_is_the_only_node_block_loop():
+def test_integrals_is_the_only_node_block_loop():
     assert _library_owners(loops_over_blocks) == BLOCK_LOOPS
-
-
-def test_only_the_walkers_iterate_blocks():
-    assert _library_owners(calls_blocks) == BLOCK_WALKERS
