@@ -121,10 +121,8 @@ def _deficit(args: argparse.Namespace) -> int:
     out = _resolve_output(args, f"{args.command}.json")
     if args.form == "wirtinger":
         deficit = functionals.wirtinger_deficit(f)
-        write_json(
-            {"form": "wirtinger", "constant": functionals.PI_SQUARED, "deficit": deficit},
-            out,
-        )
+        payload = {"form": "wirtinger", "constant": functionals.PI_SQUARED, "deficit": deficit}
+        header, row = ",".join(payload), tuple(payload.values())
     else:
         if args.form == "density":
             report = functionals.lsi_deficit_density_form(f)
@@ -133,10 +131,11 @@ def _deficit(args: argparse.Namespace) -> int:
         else:
             report = functionals.lsi_deficit_circle(f)
         deficit = report.deficit
-        if out.suffix == ".csv":
-            write_csv(functionals.REPORT_CSV_HEADER, [report.csv_row()], out)
-        else:
-            write_json(report.to_dict(), out)
+        header, row, payload = functionals.REPORT_CSV_HEADER, report.csv_row(), report.to_dict()
+    if out.suffix == ".csv":
+        write_csv(header, [row], out)
+    else:
+        write_json(payload, out)
     print(f"deficit={deficit!r}")
     if args.command == "functional":
         return 0

@@ -95,9 +95,7 @@ def sharpness_sweep(eps_list: Sequence[float], n: int) -> list[SweepRecord]:
     cos(pi x) comes from one :func:`_harmonic` call for all epsilons.
     """
     n = _check_size(n, 2049)
-    eps_list = sorted(eps_list, reverse=True)
-    for eps in eps_list:
-        _check_eps(eps)
+    eps_list = sorted(map(_check_eps, eps_list), reverse=True)  # each checked before the sort
     cos_pi_x = _harmonic(UNIT_INTERVAL, n, 1)
     records = []
     for eps in eps_list:  # one member's arrays at a time
@@ -208,11 +206,11 @@ def minimize_deficit(
 ) -> OptimizerResult:
     """Minimize the log-Sobolev deficit over f = |c_0 + sum c_k basis_k|.
 
-    Projected gradient descent with backtracking line search; iterates
-    are renormalized to unit squared mass after every step. Because
-    |g|^2 = g^2 and |g|' = sign(g) g' almost everywhere, the deficit and
-    its (sub)gradient are evaluated on the signed synthesis, which keeps
-    the quadrature clean across sign changes of the synthesis.
+    Projected gradient descent with backtracking line search. Each iterate is
+    scaled to unit squared mass, synthesized and scored once, and its gradient
+    reuses that synthesis g. Because |g|^2 = g^2 and |g|' = sign(g) g' almost
+    everywhere, the deficit and its (sub)gradient are evaluated on the signed
+    synthesis, which keeps the quadrature clean across sign changes of g.
 
     The proven inequalities make the true deficit nonnegative, so
     ``best_deficit`` should never drop meaningfully below zero, and the
@@ -221,9 +219,9 @@ def minimize_deficit(
     basis, 2 * n_modes <= n: on a coarser grid the modes alias and the
     deficit can read below zero. The basis matrix holds n * n_modes
     floats; more than MAX_SAMPLES raises ParamOutOfRangeError before
-    anything is allocated. So does a non-finite ``init`` entry, and an
-    ``init`` whose squared mass overflows float64 raises it when the
-    first iterate is normalized.
+    anything is allocated. So does an ``init`` that is not n_modes finite
+    real numbers, and one whose squared mass overflows float64 raises it
+    when the first iterate is scaled.
     """
     n_modes = _whole(n_modes, 2, f"need an integer n_modes >= 2, got {n_modes}")
     max_iters = _whole(max_iters, 1, f"need an integer max_iters >= 1, got {max_iters}")
@@ -240,79 +238,64 @@ def minimize_deficit(
             f"more than {MAX_SAMPLES}"
         )
 
-    rng = np.random.default_rng(seed)
-    if init is not None:
-        c = np.asarray(init, dtype=float).copy()
-        if c.size != n_modes:
-            raise ParamOutOfRangeError(f"init must have {n_modes} coefficients")
-        if not np.all(np.isfinite(c)):
-            raise ParamOutOfRangeError("init coefficients must be finite")
+    if init is None:
+        decay = 1.0 / (1 + (np.arange(n_modes) + 1) // 2) ** 2
+        c = np.random.default_rng(seed).standard_normal(n_modes) * decay
     else:
-        decay = np.array([1.0 / (1 + (k + 1) // 2) ** 2 for k in range(n_modes)])
-        c = rng.standard_normal(n_modes) * decay
+        c = np.asarray(init)
+        if c.shape != (n_modes,):
+            raise ParamOutOfRangeError(f"init must have {n_modes} coefficients")
+        if c.dtype.kind not in "biuf" or not np.all(np.isfinite(c)):  # no strings, no complex
+            raise ParamOutOfRangeError("init coefficients must be finite")
+        c = c.astype(float)
 
     basis, energy_weights = _basis_matrix(domain, n_modes, n)
     w = quadrature_weights(domain, n)
     mass_form = basis.T @ (basis * w[:, None])
 
-    def normalize(c):
+    def state(c):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mass raises below
             mass = c @ mass_form @ c
         if not math.isfinite(mass):
             raise ParamOutOfRangeError("squared mass of the iterate overflows float64; rescale init")
         if mass <= 0.0:
             raise ParamOutOfRangeError("iterate collapsed to the zero function")
-        return c / math.sqrt(mass)
-
-    def evaluate(c):
-        ent = float(w @ _entropy_integrand(np.abs(basis @ c)))
-        energy = float(energy_weights @ np.square(c))
-        return energy, ent, energy - constant * ent
-
-    def gradient(c):
+        c = c / math.sqrt(mass)
         g = basis @ c
-        ag = np.abs(g)
-        # d/dg of g^2 log|g| is 2 g log|g| + g, zero at g = 0
-        ent_slope = np.where(ag > 0.0, 2.0 * g * np.log(np.where(ag > 0.0, ag, 1.0)) + g, 0.0)
-        return 2.0 * energy_weights * c - constant * (basis.T @ (w * ent_slope))
+        ent = float(w @ _entropy_integrand(np.abs(g)))
+        energy = float(energy_weights @ np.square(c))
+        return c, energy, ent, energy - constant * ent, g
 
-    c = normalize(c)
-    energy, ent, deficit = evaluate(c)
-    best_deficit = deficit
-    best_c = c.copy()
-    best_ratio = energy / ent if ent > RATIO_ENTROPY_FLOOR else None
-    step = 1e-2
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, max_iters + 1):
-        grad = gradient(c)
+    iterate = state(c)
+    best_deficit, best_c, best_ratio = math.inf, None, None
+    step, converged, iterations = 1e-2, False, 0
+    while True:
+        c, energy, ent, deficit, g = iterate
+        if deficit < best_deficit:
+            best_deficit, best_c = deficit, c
+        if ent > RATIO_ENTROPY_FLOOR and (best_ratio is None or energy / ent < best_ratio):
+            best_ratio = energy / ent
+        if iterations == max_iters:
+            break
+        iterations += 1
+        # d/dg of g^2 log|g| is 2 g log|g| + g, which is 0 at g = 0 as it stands
+        ent_slope = 2.0 * g * np.log(np.where(g != 0.0, np.abs(g), 1.0)) + g
+        grad = 2.0 * energy_weights * c - constant * (basis.T @ (w * ent_slope))
         normal = mass_form @ c
         tangent = grad - (grad @ normal) / (normal @ normal) * normal
         gnorm2 = float(tangent @ tangent)
         if gnorm2 <= 1e-18:
             converged = True
             break
-        accepted = False
         step = min(step * 2.0, 1e6)
         for _ in range(60):
-            trial = normalize(c - step * grad)
-            t_energy, t_ent, t_deficit = evaluate(trial)
-            if t_deficit <= deficit - 1e-4 * step * gnorm2:
-                accepted = True
+            iterate = state(c - step * grad)
+            if iterate[3] <= deficit - 1e-4 * step * gnorm2:  # the trial's deficit
                 break
             step *= 0.5
-        if not accepted:
+        else:
             converged = True  # no descent direction left at float resolution
             break
-        c, energy, ent, deficit = trial, t_energy, t_ent, t_deficit
-        if deficit < best_deficit:
-            best_deficit = deficit
-            best_c = c.copy()
-        if ent > RATIO_ENTROPY_FLOOR:
-            ratio = energy / ent
-            if best_ratio is None or ratio < best_ratio:
-                best_ratio = ratio
 
     return OptimizerResult(best_deficit, best_ratio, best_c, iterations, converged)
 

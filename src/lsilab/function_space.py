@@ -19,6 +19,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -64,6 +65,8 @@ class Interval:
     b: float
 
     def __post_init__(self):
+        if not (isinstance(self.a, numbers.Real) and isinstance(self.b, numbers.Real)):
+            raise InvalidInputError("interval endpoints must be finite")
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
@@ -83,9 +86,10 @@ class Circle:
     circumference: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "circumference", float(self.circumference))
-        if not (math.isfinite(self.circumference) and self.circumference > 0):
+        length = self.circumference
+        if not (isinstance(length, numbers.Real) and math.isfinite(length) and length > 0):
             raise InvalidInputError("circle circumference must be positive and finite")
+        object.__setattr__(self, "circumference", float(length))
 
     @property
     def length(self) -> float:
@@ -178,7 +182,11 @@ class GridFunction:
         return cls(domain, _Fresh(values))
 
     def __post_init__(self):
-        fresh = self.values if type(self.values) is _Fresh else _Fresh(np.array(self.values, float))
+        if not isinstance(self.domain, (Interval, Circle)):
+            raise InvalidInputError("domain must be an Interval or a Circle")
+        fresh = self.values if type(self.values) is _Fresh else _Fresh(np.array(self.values))
+        if fresh.array.dtype.kind not in "biuf":  # a complex part is never dropped
+            raise InvalidInputError("values must be real numbers")
         v = np.asarray(fresh.array, dtype=float)
         if v.ndim != 1:
             raise InvalidInputError("values must be a one-dimensional array")
@@ -352,13 +360,15 @@ class FourierSeries:
     half: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.circumference) and self.circumference > 0):
+        length = self.circumference
+        if not (isinstance(length, numbers.Real) and math.isfinite(length) and length > 0):
             raise InvalidInputError("circumference must be positive and finite")
-        c = self.half.array if type(self.half) is _Fresh else np.array(self.half, dtype=complex)
+        c = self.half.array if type(self.half) is _Fresh else np.array(self.half)
         if c.ndim != 1 or c.size == 0:
             raise InvalidInputError("half must be a nonempty vector a_0..a_{n_max}")
-        if not np.all(np.isfinite(c)):
+        if c.dtype.kind not in "biufc" or not np.all(np.isfinite(c)):  # no strings or objects
             raise InvalidInputError("coefficients must be finite")
+        c = c.astype(complex, copy=False)
         if c[0].imag != 0.0:
             raise NotHermitianError(f"a_0 must be real, got imaginary part {c[0].imag:.3e}")
         c.setflags(write=False)
@@ -507,7 +517,7 @@ def sample_family(
 
     if family is Family.CONSTANT:
         (c,) = _family_params(family, params, 1)
-        if not math.isfinite(c):
+        if not (isinstance(c, numbers.Real) and math.isfinite(c)):
             raise ParamOutOfRangeError("constant must be finite")
         return GridFunction._adopt(domain, np.full(n, c))
 
@@ -603,9 +613,11 @@ def _family_params(family: Family, params: list[float], count: int) -> list[floa
     return params
 
 
-def _check_eps(eps: float) -> None:
-    if not (0.0 < eps < 1.0):
+def _check_eps(eps: float) -> float:
+    """``eps``, or ParamOutOfRangeError unless it is a real number in (0, 1)."""
+    if not (isinstance(eps, numbers.Real) and 0.0 < eps < 1.0):
         raise ParamOutOfRangeError(f"eps must lie in (0, 1), got {eps}")
+    return eps
 
 
 # ---------------------------------------------------------------------------

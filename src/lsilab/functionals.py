@@ -39,6 +39,7 @@ when finite samples overflow float64, instead of returning inf or nan.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -378,7 +379,7 @@ def wirtinger_deficit(f: GridFunction) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_q(q: float) -> None:
-    if not (1.0 < q <= 2.0):
+    if not (isinstance(q, numbers.Real) and 1.0 < q <= 2.0):
         raise ParamOutOfRangeError(f"q must lie in (1, 2], got {q}")
 
 

@@ -285,6 +285,20 @@ def test_verify_wirtinger_form(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["functional", "verify"])
+def test_wirtinger_form_writes_a_csv_row_to_a_csv_output(tmp_path, capsys, command):
+    f = from_callable(UNIT_INTERVAL, 257, lambda x: np.cos(math.pi * x) + 0.1 * np.cos(2 * math.pi * x))
+    src = tmp_path / "f.csv"
+    write_grid_csv(f, src)
+    argv = [command, "--input", str(src), "--domain", "interval", "--form", "wirtinger"]
+    assert main(argv + ["--output", str(tmp_path / "w.json")]) == 0
+    payload = json.loads((tmp_path / "w.json").read_text())
+    assert main(argv + ["--output", str(tmp_path / "w.csv")]) == 0
+    assert (tmp_path / "w.csv").read_text() == (
+        f"form,constant,deficit\nwirtinger,{functionals.PI_SQUARED!r},{payload['deficit']!r}\n")
+    assert capsys.readouterr().out == f"deficit={payload['deficit']!r}\n" * 2
+
+
 def test_functional_circle_requires_unit_mass(tmp_path, capsys):
     f = sample_family(Family.CONSTANT, [2.0], Circle(1.0), 64)
     path = tmp_path / "big.csv"

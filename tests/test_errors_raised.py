@@ -20,14 +20,17 @@ from lsilab import (
     Circle,
     DomainMismatchError,
     FourierSeries,
+    GridFunction,
     Interval,
     InvalidInputError,
     ParamOutOfRangeError,
+    SweepRecord,
     UNIT_CIRCLE,
     UNIT_INTERVAL,
     ZeroMassError,
     affine_normalize,
     diaz_deficit,
+    diaz_probe,
     fourier_from_dict,
     lsi_deficit_circle,
     lsi_deficit_density_form,
@@ -35,6 +38,8 @@ from lsilab import (
     minimize_deficit,
     read_grid_csv,
     sample_family,
+    sharpness_sweep,
+    wang_ode_residual,
     weissler_bound,
     wirtinger_deficit,
 )
@@ -83,12 +88,32 @@ def _backwards_circle_csv(path):
 
 #: (id, call of a scratch directory, error class, message; {path} is the file the call reads).
 INPUT_CHECKS = [
+    ("interval-string-endpoint", lambda tmp: Interval("a", 1),
+     InvalidInputError, "interval endpoints must be finite"),
+    ("interval-none-endpoint", lambda tmp: Interval(None, 1),
+     InvalidInputError, "interval endpoints must be finite"),
+    ("circle-string-circumference", lambda tmp: Circle("x"),
+     InvalidInputError, "circle circumference must be positive and finite"),
+    ("grid-string-values", lambda tmp: GridFunction(UNIT_INTERVAL, "abc"),
+     InvalidInputError, "values must be real numbers"),
+    ("grid-complex-values", lambda tmp: GridFunction(UNIT_INTERVAL, np.full(20, 1 + 2j)),
+     InvalidInputError, "values must be real numbers"),
+    ("adopt-complex-values", lambda tmp: GridFunction._adopt(UNIT_INTERVAL, np.full(20, 1 + 2j)),
+     InvalidInputError, "values must be real numbers"),
+    ("grid-domain", lambda tmp: GridFunction("dom", [1.0] * 20),
+     InvalidInputError, "domain must be an Interval or a Circle"),
     ("with_values-length", lambda tmp: _constant(UNIT_INTERVAL).with_values(np.ones(16)),
      InvalidInputError, "replacement values must keep the grid size"),
     ("series-zero-circumference", lambda tmp: FourierSeries(0.0, [1.0]),
      InvalidInputError, "circumference must be positive and finite"),
     ("series-negative-circumference", lambda tmp: FourierSeries(-1.0, [1.0]),
      InvalidInputError, "circumference must be positive and finite"),
+    ("series-string-circumference", lambda tmp: FourierSeries("1", [1]),
+     InvalidInputError, "circumference must be positive and finite"),
+    ("series-string-half", lambda tmp: FourierSeries(1.0, "ab"),
+     InvalidInputError, "half must be a nonempty vector a_0..a_{n_max}"),
+    ("series-string-entries", lambda tmp: FourierSeries(1.0, ["a", "b"]),
+     InvalidInputError, "coefficients must be finite"),
     ("series-empty-half", lambda tmp: FourierSeries(1.0, []),
      InvalidInputError, "half must be a nonempty vector a_0..a_{n_max}"),
     ("series-2d-half", lambda tmp: FourierSeries(1.0, [[1.0, 0.5]]),
@@ -106,6 +131,22 @@ INPUT_CHECKS = [
      InvalidInputError, "need at least one coefficient"),
     ("constant-inf", lambda tmp: sample_family("constant", [math.inf], UNIT_INTERVAL, 17),
      ParamOutOfRangeError, "constant must be finite"),
+    ("constant-string", lambda tmp: sample_family("constant", ["a"], UNIT_INTERVAL, 17),
+     ParamOutOfRangeError, "constant must be finite"),
+    ("sharpness-eps-string", lambda tmp: sample_family("sharpness", ["a"], UNIT_INTERVAL, 17),
+     ParamOutOfRangeError, "eps must lie in (0, 1), got a"),
+    ("sweep-eps-string", lambda tmp: sharpness_sweep(["a"], 2049),
+     ParamOutOfRangeError, "eps must lie in (0, 1), got a"),
+    ("sweep-eps-string-among-numbers", lambda tmp: sharpness_sweep([0.1, "a"], 2049),
+     ParamOutOfRangeError, "eps must lie in (0, 1), got a"),
+    ("sweep-record-eps-string", lambda tmp: SweepRecord("a", 1.0, 1.0, 1.0, 1.0),
+     ParamOutOfRangeError, "eps must lie in (0, 1), got a"),
+    ("wang-eps-string", lambda tmp: wang_ode_residual("a", 1025),
+     ParamOutOfRangeError, "eps must lie in (0, 1), got a"),
+    ("probe-q-string", lambda tmp: diaz_probe(["a"], 2, 0),
+     ParamOutOfRangeError, "q must lie in (1, 2], got a"),
+    ("diaz-q-string", lambda tmp: diaz_deficit(_constant(UNIT_INTERVAL), "a"),
+     ParamOutOfRangeError, "q must lie in (1, 2], got a"),
     ("family-parameter-count", lambda tmp: sample_family("sharpness", [0.1, 0.2], UNIT_INTERVAL, 17),
      ParamOutOfRangeError, "family sharpness takes 1 parameter(s), got 2"),
     ("csv-kind", lambda tmp: read_grid_csv(tmp / "f.csv", "disk"),
@@ -114,6 +155,12 @@ INPUT_CHECKS = [
      InvalidInputError, "{path}: x column must be increasing"),
     ("init-length", lambda tmp: minimize_deficit(UNIT_INTERVAL, 4, 0, 5, n=65, init=[1.0, 0.5, 0.2]),
      ParamOutOfRangeError, "init must have 4 coefficients"),
+    ("init-nested", lambda tmp: minimize_deficit(UNIT_INTERVAL, 3, 0, 5, n=65, init=[[1, 2, 3]]),
+     ParamOutOfRangeError, "init must have 3 coefficients"),
+    ("init-string", lambda tmp: minimize_deficit(UNIT_INTERVAL, 3, 0, 5, n=65, init="abc"),
+     ParamOutOfRangeError, "init must have 3 coefficients"),
+    ("init-complex", lambda tmp: minimize_deficit(UNIT_INTERVAL, 3, 0, 5, n=65, init=np.array([1 + 1j, 0, 0])),
+     ParamOutOfRangeError, "init coefficients must be finite"),
     ("init-zero", lambda tmp: minimize_deficit(UNIT_CIRCLE, 4, 0, 5, n=64, init=[0.0] * 4),
      ParamOutOfRangeError, "iterate collapsed to the zero function"),
     ("circle-deficit-domain", lambda tmp: lsi_deficit_circle(_constant(UNIT_INTERVAL)),

@@ -1,6 +1,8 @@
 """Sweeps, extrapolation, the ODE residual, the optimizer and the probes."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from lsilab import (
     FOUR_PI_SQUARED,
     Family,
     InsufficientDataError,
+    Interval,
     PI_SQUARED,
     ParamOutOfRangeError,
     SweepRecord,
@@ -28,15 +31,18 @@ from lsilab import (
     squared_mass,
     wang_ode_residual,
 )
+from lsilab import experiments
 from lsilab.experiments import (
     DIAZ_CSV_HEADER,
     DiazProbeReport,
     DiazQResult,
     SWEEP_CSV_HEADER,
+    RATIO_ENTROPY_FLOOR,
     _basis_matrix,
     mode_quotient,
 )
 from lsilab.function_space import quadrature_weights, write_csv, write_json
+from lsilab.functionals import _entropy_integrand, _geometry
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +274,117 @@ def test_closed_form_energy_matches_the_assembled_form(domain, n, n_modes):
     _, energy_weights = _basis_matrix(domain, n_modes, n)
     for c in np.random.default_rng(n_modes).standard_normal((5, n_modes)):
         assert energy_weights @ np.square(c) == pytest.approx(c @ form @ c, rel=1e-13, abs=0.0)
+
+
+def _old_minimize_deficit(domain, n_modes, seed, max_iters, *, n=None, init=None):
+    """The optimizer as it stood when ``evaluate`` and ``gradient`` each synthesized
+    ``basis @ c``, kept as the reference of its numbers; inputs are assumed valid."""
+    _, constant = _geometry(domain)
+    n = (2049 if isinstance(domain, Interval) else 2048) if n is None else n
+    rng = np.random.default_rng(seed)
+    if init is not None:
+        c = np.asarray(init, dtype=float).copy()
+    else:
+        decay = np.array([1.0 / (1 + (k + 1) // 2) ** 2 for k in range(n_modes)])
+        c = rng.standard_normal(n_modes) * decay
+
+    basis, energy_weights = _basis_matrix(domain, n_modes, n)
+    w = quadrature_weights(domain, n)
+    mass_form = basis.T @ (basis * w[:, None])
+
+    def normalize(c):
+        return c / math.sqrt(c @ mass_form @ c)
+
+    def evaluate(c):
+        ent = float(w @ _entropy_integrand(np.abs(basis @ c)))
+        energy = float(energy_weights @ np.square(c))
+        return energy, ent, energy - constant * ent
+
+    def gradient(c):
+        g = basis @ c
+        ag = np.abs(g)
+        ent_slope = np.where(ag > 0.0, 2.0 * g * np.log(np.where(ag > 0.0, ag, 1.0)) + g, 0.0)
+        return 2.0 * energy_weights * c - constant * (basis.T @ (w * ent_slope))
+
+    c = normalize(c)
+    energy, ent, deficit = evaluate(c)
+    best_deficit = deficit
+    best_c = c.copy()
+    best_ratio = energy / ent if ent > RATIO_ENTROPY_FLOOR else None
+    step = 1e-2
+    converged = False
+    iterations = 0
+
+    for iterations in range(1, max_iters + 1):
+        grad = gradient(c)
+        normal = mass_form @ c
+        tangent = grad - (grad @ normal) / (normal @ normal) * normal
+        gnorm2 = float(tangent @ tangent)
+        if gnorm2 <= 1e-18:
+            converged = True
+            break
+        accepted = False
+        step = min(step * 2.0, 1e6)
+        for _ in range(60):
+            trial = normalize(c - step * grad)
+            t_energy, t_ent, t_deficit = evaluate(trial)
+            if t_deficit <= deficit - 1e-4 * step * gnorm2:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            converged = True
+            break
+        c, energy, ent, deficit = trial, t_energy, t_ent, t_deficit
+        if deficit < best_deficit:
+            best_deficit = deficit
+            best_c = c.copy()
+        if ent > RATIO_ENTROPY_FLOOR:
+            ratio = energy / ent
+            if best_ratio is None or ratio < best_ratio:
+                best_ratio = ratio
+
+    return best_deficit, best_ratio, best_c.tobytes(), iterations, converged
+
+
+#: (domain, n_modes, seed, max_iters, keyword arguments) of the parity pin below.
+PARITY_CASES = [
+    *[(domain, 16, seed, 400, {}) for domain in (UNIT_INTERVAL, UNIT_CIRCLE) for seed in range(10)],
+    (UNIT_INTERVAL, 2, 0, 100, {"init": [1.0, 0.0]}),
+    (UNIT_INTERVAL, 8, 0, 400, {"init": [math.sqrt(0.99), math.sqrt(2) * 0.1] + [0.0] * 6}),
+    (UNIT_INTERVAL, 32, 0, 3, {"n": 64}), (UNIT_CIRCLE, 32, 0, 3, {"n": 64}),
+    (UNIT_INTERVAL, 9, 3, 400, {"n": 65}), (UNIT_CIRCLE, 9, 3, 400, {"n": 65}),
+]
+
+
+@pytest.mark.parametrize("domain, n_modes, seed, max_iters, options", PARITY_CASES, ids=[
+    f"{type(d).__name__.lower()}-m{m}-s{s}-{'-'.join(o) or 'default'}" for d, m, s, _, o in PARITY_CASES])
+def test_optimizer_matches_its_two_synthesis_reference(domain, n_modes, seed, max_iters, options):
+    r = minimize_deficit(domain, n_modes, seed, max_iters, **options)
+    got = (r.best_deficit, r.best_ratio, r.coefficients.tobytes(), r.iterations, r.converged)
+    assert got == _old_minimize_deficit(domain, n_modes, seed, max_iters, **options)
+
+
+def basis_products(source: str, function: str) -> int:
+    """How many ``basis @ ...`` products the top-level ``function`` of ``source`` holds."""
+    (tree,) = [node for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef) and node.name == function]
+    return sum(isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+               and isinstance(node.left, ast.Name) and node.left.id == "basis"
+               for node in ast.walk(tree))
+
+
+def test_the_product_tripwire_counts_only_basis_on_the_left():
+    source = ("def f(basis, c, w):\n    g = basis @ c\n"
+              "    def h():\n        return basis @ (2 * c), basis.T @ w, c @ basis\n"
+              "def k(basis, c):\n    return basis @ c\n")
+    assert basis_products(source, "f") == 2
+
+
+def test_the_optimizer_synthesizes_each_iterate_once():
+    # one synthesis per scaled iterate; the gradient reuses the accepted iterate's
+    source = Path(experiments.__file__).read_text()
+    assert basis_products(source, "minimize_deficit") == 1
 
 
 # ---------------------------------------------------------------------------
