@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from pathlib import Path
@@ -43,6 +42,7 @@ from .function_space import (
     MAX_SAMPLES,
     Circle,
     Interval,
+    _real,
     from_fourier,
     read_fourier_json,
     read_grid_csv,
@@ -94,7 +94,7 @@ def parse_config(argv: Sequence[str] | None) -> argparse.Namespace:
     """Parsed arguments, with --N checked against [16, MAX_SAMPLES]."""
     args = build_parser().parse_args(argv)
     if "n" in args and not (16 <= args.n <= MAX_SAMPLES):
-        raise ParamOutOfRangeError(f"N must lie in [16, {MAX_SAMPLES}], got {args.n}")
+        raise ParamOutOfRangeError(f"N must lie in [16, {MAX_SAMPLES}], got {args.n!s:.40}")
     return args
 
 
@@ -195,7 +195,7 @@ def _optimize(args: argparse.Namespace) -> int:
 
 def _diaz(args: argparse.Namespace) -> int:
     if not 1 <= args.modes <= 64:
-        raise ParamOutOfRangeError(f"--modes must lie in [1, 64], got {args.modes}")
+        raise ParamOutOfRangeError(f"--modes must lie in [1, 64], got {args.modes!s:.40}")
     report = experiments.diaz_probe(args.q, args.trials, args.seed, n=args.n, modes=args.modes)
     out = _resolve_output(args, "diaz.csv")
     if out.suffix == ".json":
@@ -273,10 +273,8 @@ def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite float, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r:.40}") from None
+    return _real(value, f"must be a finite float, got {text!r:.40}", argparse.ArgumentTypeError)
 
 
 def _tolerance(default: float) -> tuple:

@@ -29,7 +29,10 @@ from .function_space import (
     _check_size,
     _cosine_series,
     _harmonic,
+    _listed,
     _random_trig_draws,
+    _real,
+    _samples,
     _sharpness_values,
     _whole,
     differentiate,
@@ -95,7 +98,7 @@ def sharpness_sweep(eps_list: Sequence[float], n: int) -> list[SweepRecord]:
     cos(pi x) comes from one :func:`_harmonic` call for all epsilons.
     """
     n = _check_size(n, 2049)
-    eps_list = sorted(map(_check_eps, eps_list), reverse=True)  # each checked before the sort
+    eps_list = sorted(map(_check_eps, _listed(eps_list, "eps_list must be a list")), reverse=True)
     cos_pi_x = _harmonic(UNIT_INTERVAL, n, 1)
     records = []
     for eps in eps_list:  # one member's arrays at a time
@@ -137,7 +140,7 @@ def wang_ode_residual(eps: float, n: int) -> float:
     twice and sin(pi x) from :func:`_harmonic`, so the identity is exact
     in the continuum and the returned value measures pure discretization error.
     """
-    _check_eps(eps)
+    eps = _check_eps(eps)
     n = _check_size(n, 513)
     f = sample_family(Family.WANG, [eps], UNIT_INTERVAL, n)
     first = differentiate(f)
@@ -223,15 +226,15 @@ def minimize_deficit(
     real numbers, and one whose squared mass overflows float64 raises it
     when the first iterate is scaled.
     """
-    n_modes = _whole(n_modes, 2, f"need an integer n_modes >= 2, got {n_modes}")
-    max_iters = _whole(max_iters, 1, f"need an integer max_iters >= 1, got {max_iters}")
+    n_modes = _whole(n_modes, 2, f"need an integer n_modes >= 2, got {n_modes!s:.40}")
+    max_iters = _whole(max_iters, 1, f"need an integer max_iters >= 1, got {max_iters!s:.40}")
     seed = _whole(seed, 0, "seed must be a nonnegative integer")
     if not (is_unit_interval(domain) or is_unit_circle(domain)):
         raise ParamOutOfRangeError("domain must be [0, 1] or the unit circle")
     _, constant = _geometry(domain)
     n = _check_size((2049 if isinstance(domain, Interval) else 2048) if n is None else n)
     if 2 * n_modes > n:
-        raise ParamOutOfRangeError(f"{n_modes} modes need N >= {2 * n_modes}, got {n}")
+        raise ParamOutOfRangeError(f"{n_modes!s:.40} modes need N >= {2 * n_modes!s:.40}, got {n}")
     if n * n_modes > MAX_SAMPLES:  # the basis matrix holds n * n_modes floats
         raise ParamOutOfRangeError(
             f"a basis of {n_modes} modes on {n} samples has {n * n_modes} entries, "
@@ -242,22 +245,17 @@ def minimize_deficit(
         decay = 1.0 / (1 + (np.arange(n_modes) + 1) // 2) ** 2
         c = np.random.default_rng(seed).standard_normal(n_modes) * decay
     else:
-        c = np.asarray(init)
-        if c.shape != (n_modes,):
-            raise ParamOutOfRangeError(f"init must have {n_modes} coefficients")
-        if c.dtype.kind not in "biuf" or not np.all(np.isfinite(c)):  # no strings, no complex
-            raise ParamOutOfRangeError("init coefficients must be finite")
-        c = c.astype(float)
+        c = _samples(init, "biuf", "init coefficients must be finite", ParamOutOfRangeError,
+                     (lambda c: c.shape == (n_modes,), f"init must have {n_modes} coefficients"))
 
     basis, energy_weights = _basis_matrix(domain, n_modes, n)
     w = quadrature_weights(domain, n)
     mass_form = basis.T @ (basis * w[:, None])
 
     def state(c):
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mass raises below
-            mass = c @ mass_form @ c
-        if not math.isfinite(mass):
-            raise ParamOutOfRangeError("squared mass of the iterate overflows float64; rescale init")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mass raises here
+            mass = _real(c @ mass_form @ c, "squared mass of the iterate overflows float64; "
+                         "rescale init", ParamOutOfRangeError)
         if mass <= 0.0:
             raise ParamOutOfRangeError("iterate collapsed to the zero function")
         c = c / math.sqrt(mass)
@@ -402,10 +400,11 @@ def diaz_probe(
     samples, one at a time, that evaluate each cosine once. Every exponent sees the same trials, so
     each minimum equals the one per-exponent :func:`diaz_deficit` calls give. Only witnesses are kept.
     """
-    trials = _whole(trials, 1, f"need an integer trials >= 1, got {trials}")
+    trials = _whole(trials, 1, f"need an integer trials >= 1, got {trials!s:.40}")
     n = _check_size(n)
     seed = _whole(seed, 0, "seed must be a nonnegative integer")
     modes = _check_modes(UNIT_INTERVAL, modes, n)
+    q_list = _listed(q_list, "q_list must be a list")
     for q in q_list:  # before any trial is drawn
         _check_q(q)
     rows, witnesses, step = [], {}, max(1, _PROBE_BATCH // n)
@@ -458,5 +457,5 @@ def eigenvalue_check(n: int, n_max: int = 8) -> float:
     4 pi^2, attained by the single-oscillation modes.
     """
     n = _check_size(n, 64)
-    n_max = _whole(n_max, 1, f"need an integer n_max >= 1, got {n_max}")
+    n_max = _whole(n_max, 1, f"need an integer n_max >= 1, got {n_max!s:.40}")
     return min(mode_quotient(n, k) for k in range(1, n_max + 1))

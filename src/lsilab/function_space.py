@@ -20,8 +20,10 @@ import itertools
 import json
 import math
 import numbers
+import os
 import warnings
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -59,18 +61,14 @@ BLOCK = 8192
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [a, b] with a < b, both finite."""
+    """Closed interval [a, b], a < b; an endpoint that is not a finite real raises InvalidInputError."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (isinstance(self.a, numbers.Real) and isinstance(self.b, numbers.Real)):
-            raise InvalidInputError("interval endpoints must be finite")
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise InvalidInputError("interval endpoints must be finite")
+        object.__setattr__(self, "a", _real(self.a, "interval endpoints must be finite"))
+        object.__setattr__(self, "b", _real(self.b, "interval endpoints must be finite"))
         if not self.a < self.b:
             raise InvalidInputError(f"interval needs a < b, got [{self.a}, {self.b}]")
 
@@ -81,15 +79,14 @@ class Interval:
 
 @dataclass(frozen=True)
 class Circle:
-    """Circle of given circumference, coordinates in [0, circumference)."""
+    """Circle of given circumference, coordinates in [0, circumference); a circumference
+    that is not a positive finite real raises InvalidInputError."""
 
     circumference: float = 1.0
 
     def __post_init__(self):
-        length = self.circumference
-        if not (isinstance(length, numbers.Real) and math.isfinite(length) and length > 0):
-            raise InvalidInputError("circle circumference must be positive and finite")
-        object.__setattr__(self, "circumference", float(length))
+        object.__setattr__(self, "circumference", _real(
+            self.circumference, "circle circumference must be positive and finite", low=0.0))
 
     @property
     def length(self) -> float:
@@ -97,9 +94,6 @@ class Circle:
 
 
 Domain = Union[Interval, Circle]
-
-UNIT_INTERVAL = Interval(0.0, 1.0)
-UNIT_CIRCLE = Circle(1.0)
 
 
 def _check_size(n: int, least: int = 1, limit: int = MAX_SAMPLES) -> int:
@@ -109,9 +103,9 @@ def _check_size(n: int, least: int = 1, limit: int = MAX_SAMPLES) -> int:
     at import, so a test that lowers ``MAX_SAMPLES`` to reach the CSV reader's row cap
     can still sample a longer fixture.
     """
-    n = _whole(n, least, f"need an integer n >= {least}, got {n}")
+    n = _whole(n, least, f"need an integer n >= {least}, got {n!s:.40}")
     if n > limit:
-        raise ParamOutOfRangeError(f"need n <= {limit} samples, got {n}")
+        raise ParamOutOfRangeError(f"need n <= {limit} samples, got {n!s:.40}")
     return n
 
 
@@ -125,6 +119,59 @@ def _whole(value: float, least: float, message: str) -> int:
     if whole != value or whole < least:
         raise ParamOutOfRangeError(message)
     return whole
+
+
+def _real(value, message: str, error: type[Exception] = InvalidInputError,
+          low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a float, or error(message) unless it is a ``numbers.Real`` in the open interval
+    (low, high), so finite (10**400 is not): every real lsilab takes or checks for overflow."""
+    try:
+        if isinstance(value, numbers.Real) and low < (value := float(value)) < high:
+            return value
+    except OverflowError:
+        pass
+    raise error(message)
+
+
+def _samples(values, kinds: str, message: str, error: type[Exception] = InvalidInputError,
+             shape=(None, ""), nonfinite: str | None = None) -> np.ndarray:
+    """``values`` as a float64 (complex128 if ``kinds`` has "c") array: a copy, or a ``_Fresh``
+    array where it is. error(message) unless it converts to an array of a dtype kind in ``kinds``
+    (ragged lists, strings and objects do not); error(shape[1]) first unless shape[0](array); and
+    error(the _Fresh message, else nonfinite, else message) unless one isfinite pass holds."""
+    fresh = type(values) is _Fresh
+    try:
+        array = values.array if fresh else np.array(values)
+    except (TypeError, ValueError):  # a ragged list
+        raise error(message) from None
+    if shape[0] and not shape[0](array):
+        raise error(shape[1])
+    if array.dtype.kind not in kinds:
+        raise error(message)
+    array = array.astype(complex if "c" in kinds else float, copy=False)
+    if not np.isfinite(array).all():
+        raise error(fresh and values.nonfinite or nonfinite or message)
+    return array
+
+
+def _listed(values, message: str) -> list:
+    """``list(values)``, or ParamOutOfRangeError(message) unless values is iterable."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ParamOutOfRangeError(message) from None
+
+
+def _open(path, mode: str = "r", **options) -> TextIO:
+    """``open`` on a path ``os.fspath`` takes; InvalidInputError on any other (an int is no fd)."""
+    try:
+        return open(os.fspath(path), mode, **options)
+    except (TypeError, ValueError) as exc:  # not path-like, or a NUL character
+        raise InvalidInputError(f"bad path {path!r:.40}: {exc}") from None
+
+
+UNIT_INTERVAL = Interval(0.0, 1.0)
+UNIT_CIRCLE = Circle(1.0)
 
 
 def is_unit_interval(domain: Domain) -> bool:
@@ -154,10 +201,11 @@ def _grid(domain: Domain, n: int) -> np.ndarray:
 
 
 class _Fresh(NamedTuple):
-    """An array lsilab has just built that nobody else references, and what a NaN or inf raises."""
+    """An array lsilab just built that nobody else references, and what a NaN or inf raises
+    if not the constructor's own message."""
 
     array: np.ndarray
-    nonfinite: str = "all sampled values must be finite"
+    nonfinite: str | None = None
 
 
 @dataclass(frozen=True)
@@ -170,7 +218,9 @@ class GridFunction:
     :meth:`with_values`. The arrays lsilab builds for a new instance
     (derivatives, family samples, syntheses, transform outputs) arrive
     wrapped in ``_Fresh`` and are adopted instead: frozen where they are,
-    with no copy, because nothing else holds them.
+    with no copy, because nothing else holds them. InvalidInputError refuses
+    a domain that is not an Interval or a Circle, and values that are not a
+    vector of at least MIN_SAMPLES finite real numbers.
     """
 
     domain: Domain
@@ -184,18 +234,14 @@ class GridFunction:
     def __post_init__(self):
         if not isinstance(self.domain, (Interval, Circle)):
             raise InvalidInputError("domain must be an Interval or a Circle")
-        fresh = self.values if type(self.values) is _Fresh else _Fresh(np.array(self.values))
-        if fresh.array.dtype.kind not in "biuf":  # a complex part is never dropped
-            raise InvalidInputError("values must be real numbers")
-        v = np.asarray(fresh.array, dtype=float)
+        v = _samples(self.values, "biuf", "values must be real numbers",
+                     nonfinite="all sampled values must be finite")
         if v.ndim != 1:
             raise InvalidInputError("values must be a one-dimensional array")
         if v.size < MIN_SAMPLES:
             raise InvalidInputError(
                 f"need at least {MIN_SAMPLES} samples, got {v.size}"
             )
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError(fresh.nonfinite)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -208,11 +254,11 @@ class GridFunction:
         return _grid(self.domain, self.n)
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
-        """Same domain and resolution, new samples."""
-        values = np.asarray(values)
-        if values.shape != self.values.shape:
+        """Same domain and resolution, new samples, checked as the constructor checks them."""
+        f = GridFunction(self.domain, values)
+        if f.n != self.n:
             raise InvalidInputError("replacement values must keep the grid size")
-        return GridFunction(self.domain, values)
+        return f
 
 
 def from_callable(domain: Domain, n: int, fn) -> GridFunction:
@@ -354,21 +400,18 @@ class FourierSeries:
     ``half[n]`` stores a_n; a_{-n} = conj(a_n) is implied, so a non-real a_0 raises
     NotHermitianError. Two-sided data is checked for that symmetry where it enters, in
     :func:`fourier_from_dict`. Arrays are copied or adopted as in :class:`GridFunction`.
+    InvalidInputError refuses a circumference as :class:`Circle` does, and a ``half`` that is
+    not a nonempty vector of finite numbers.
     """
 
     circumference: float
     half: np.ndarray
 
     def __post_init__(self):
-        length = self.circumference
-        if not (isinstance(length, numbers.Real) and math.isfinite(length) and length > 0):
-            raise InvalidInputError("circumference must be positive and finite")
-        c = self.half.array if type(self.half) is _Fresh else np.array(self.half)
-        if c.ndim != 1 or c.size == 0:
-            raise InvalidInputError("half must be a nonempty vector a_0..a_{n_max}")
-        if c.dtype.kind not in "biufc" or not np.all(np.isfinite(c)):  # no strings or objects
-            raise InvalidInputError("coefficients must be finite")
-        c = c.astype(complex, copy=False)
+        object.__setattr__(self, "circumference", _real(
+            self.circumference, "circumference must be positive and finite", low=0.0))
+        c = _samples(self.half, "biufc", "coefficients must be finite", shape=(
+            lambda c: c.ndim == 1 and c.size > 0, "half must be a nonempty vector a_0..a_{n_max}"))
         if c[0].imag != 0.0:
             raise NotHermitianError(f"a_0 must be real, got imaginary part {c[0].imag:.3e}")
         c.setflags(write=False)
@@ -388,18 +431,19 @@ class FourierSeries:
     def mass(self) -> float:
         """The squared L2 norm |a_0|^2 + 2 sum_{n>=1} |a_n|^2, summed as 2 sum_{n>=0} - |a_0|^2.
         Raises InvalidInputError when it overflows float64."""
-        mass = float(2.0 * np.sum(np.abs(self.half) ** 2) - abs(self.half[0]) ** 2)
-        if not math.isfinite(mass):
-            raise InvalidInputError("squared L2 norm overflows float64; rescale the input")
-        return mass
+        return _real(2.0 * np.sum(np.abs(self.half) ** 2) - abs(self.half[0]) ** 2,
+                     "squared L2 norm overflows float64; rescale the input")
 
 
 def fourier_from_dict(circumference: float, entries: dict[int, complex]) -> FourierSeries:
     """Build a series from a sparse two-sided {n: a_n} mapping; 2*max|n| + 1 <= MAX_SAMPLES.
 
-    ParamOutOfRangeError unless every n is a whole number, and NotHermitianError unless
-    |a_{-n} - conj(a_n)| <= HERMITIAN_TOL * max(1, max|a_n|) for every n, a missing entry
-    being 0. Keeps a_n for n >= 0, with a_0 made real."""
+    InvalidInputError unless ``entries`` is a nonempty mapping to finite numbers (and the
+    circumference positive and finite), ParamOutOfRangeError unless every n is a whole number,
+    and NotHermitianError unless |a_{-n} - conj(a_n)| <= HERMITIAN_TOL * max(1, max|a_n|) for
+    every n, a missing entry being 0. Keeps a_n for n >= 0, with a_0 made real."""
+    if not isinstance(entries, Mapping):
+        raise InvalidInputError(f"entries must be a mapping {{n: a_n}}, got {type(entries).__name__}")
     if not entries:
         raise InvalidInputError("need at least one coefficient")
     modes = list({abs(_whole(n, -math.inf, "mode indices must be integers")) for n in entries})
@@ -408,9 +452,9 @@ def fourier_from_dict(circumference: float, entries: dict[int, complex]) -> Four
         raise TruncationTooLargeError(
             f"mode |n| = {n_max} needs {2 * n_max + 1} coefficients, more than {MAX_SAMPLES}"
         )
-    pairs = np.array([(entries.get(k, 0), entries.get(-k, 0)) for k in modes], dtype=complex)
-    if not np.all(np.isfinite(pairs)):
-        raise InvalidInputError("coefficients must be finite")
+    finite = "coefficients must be finite"
+    pairs = _samples([(entries.get(k, 0), entries.get(-k, 0)) for k in modes], "biufc", finite,
+                     shape=(lambda p: p.ndim == 2, finite))  # one number per a_n, not a vector
     # on components scaled to at most 1, neither the defect nor the threshold can overflow
     scale = max(1.0, float(np.max(np.abs(pairs.view(float)))))
     defect = float(np.max(np.abs(pairs[:, 1] / scale - np.conj(pairs[:, 0] / scale))))
@@ -469,11 +513,6 @@ class Family(str, Enum):
     RANDOM_TRIG = "random_trig"
 
 
-def _require_unit_interval(domain: Domain, family: Family) -> None:
-    if not is_unit_interval(domain):
-        raise DomainMismatchError(f"family {family.value} requires the interval [0, 1]")
-
-
 def sample_family(
     family: Family | str,
     params: Sequence[float],
@@ -511,14 +550,13 @@ def sample_family(
     try:
         family = Family(family)
     except ValueError:
-        raise UnknownFamilyError(f"unknown family {family!r}") from None
+        raise UnknownFamilyError(f"unknown family {family!r:.40}") from None
     n = _check_size(n)
-    params = list(params)
+    params = _listed(params, f"family {family.value} takes a list of parameters")
 
     if family is Family.CONSTANT:
         (c,) = _family_params(family, params, 1)
-        if not (isinstance(c, numbers.Real) and math.isfinite(c)):
-            raise ParamOutOfRangeError("constant must be finite")
+        c = _real(c, "constant must be finite", ParamOutOfRangeError)
         return GridFunction._adopt(domain, np.full(n, c))
 
     if family is Family.COSINE_MODE:
@@ -528,8 +566,9 @@ def sample_family(
 
     if family in (Family.SHARPNESS, Family.WANG):
         (eps,) = _family_params(family, params, 1)
-        _check_eps(eps)
-        _require_unit_interval(domain, family)
+        eps = _check_eps(eps)
+        if not is_unit_interval(domain):
+            raise DomainMismatchError(f"family {family.value} requires the interval [0, 1]")
         values = _harmonic(domain, n, 1)  # cos(pi x)
         if family is Family.SHARPNESS:
             return GridFunction._adopt(domain, _sharpness_values(eps, values, out=values))
@@ -557,7 +596,7 @@ def _check_modes(domain: Domain, modes: int, n: int) -> int:
     """``modes`` as an int, checked to be a whole number in [1, MAX_SAMPLES] that n nodes resolve."""
     modes = _whole(modes, 1, "mode count must be an integer >= 1")
     if modes > MAX_SAMPLES:
-        raise ParamOutOfRangeError(f"mode count must be at most {MAX_SAMPLES}, got {modes}")
+        raise ParamOutOfRangeError(f"mode count must be at most {MAX_SAMPLES}, got {modes!s:.40}")
     if isinstance(domain, Interval) and modes > n - 1:
         raise TruncationTooLargeError(
             f"modes = {modes} exceeds n - 1 = {n - 1}; higher cosines alias on {n} samples")
@@ -614,10 +653,8 @@ def _family_params(family: Family, params: list[float], count: int) -> list[floa
 
 
 def _check_eps(eps: float) -> float:
-    """``eps``, or ParamOutOfRangeError unless it is a real number in (0, 1)."""
-    if not (isinstance(eps, numbers.Real) and 0.0 < eps < 1.0):
-        raise ParamOutOfRangeError(f"eps must lie in (0, 1), got {eps}")
-    return eps
+    """``eps`` as a float, or ParamOutOfRangeError unless it is a real number in (0, 1)."""
+    return _real(eps, f"eps must lie in (0, 1), got {eps!s:.40}", ParamOutOfRangeError, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +663,7 @@ def _check_eps(eps: float) -> float:
 
 def write_grid_csv(f: GridFunction, path: str | Path) -> None:
     """CSV with header ``x,value``, numbers written by ``repr``; circle grids omit the wrap point."""
-    with open(path, "w", newline="") as handle:
+    with _open(path, "w", newline="") as handle:
         handle.write("x,value\n")
         handle.writelines(f"{xi!r},{vi!r}\n" for xi, vi in zip(f.x.tolist(), f.values.tolist()))
 
@@ -646,9 +683,9 @@ def read_grid_csv(path: str | Path, kind: str) -> GridFunction:
     each field with the routine behind ``float()``, so the samples agree
     bit for bit.
     """
-    if kind not in ("interval", "circle"):
-        raise InvalidInputError(f"unknown domain kind {kind!r}")
-    with open(path, newline="", encoding="utf-8") as handle:
+    if not (isinstance(kind, str) and kind in ("interval", "circle")):
+        raise InvalidInputError(f"unknown domain kind {kind!r:.40}")
+    with _open(path, newline="", encoding="utf-8") as handle:
         samples = _read_plain(handle)
         if samples is None:
             handle.seek(0)
@@ -764,7 +801,7 @@ def _read_rows(path: str | Path, handle: TextIO) -> np.ndarray:
 
 def write_json(payload: dict, path: str | Path) -> None:
     """Every JSON output of lsilab: two-space indent, sorted keys, final newline."""
-    with open(path, "w") as handle:
+    with _open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -772,7 +809,7 @@ def write_json(payload: dict, path: str | Path) -> None:
 def write_csv(header: str, rows: Iterable[Sequence], path: str | Path) -> None:
     """Every tabular CSV report of lsilab: a header line, then one line per row
     whose numbers are written as ``repr(float(x))`` and strings as they are."""
-    with open(path, "w") as handle:
+    with _open(path, "w") as handle:
         handle.write(header + "\n")
         handle.writelines(
             ",".join(x if isinstance(x, str) else repr(float(x)) for x in row) + "\n" for row in rows
@@ -794,7 +831,7 @@ def write_fourier_json(series: FourierSeries, path: str | Path) -> None:
 def read_fourier_json(path: str | Path) -> FourierSeries:
     """Parse the UTF-8 JSON of :func:`write_fourier_json`; each mode index
     must be a JSON integer of size at most MAX_SAMPLES, given once."""
-    with open(path, encoding="utf-8") as handle:
+    with _open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
         except UnicodeDecodeError:

@@ -39,7 +39,6 @@ when finite samples overflow float64, instead of returning inf or nan.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -64,6 +63,7 @@ from .function_space import (
     Interval,
     UNIT_INTERVAL,
     _integrals,
+    _real,
     differentiate,
     integrate,
     is_unit_circle,
@@ -143,10 +143,7 @@ def _check_nonnegative(values: np.ndarray) -> np.ndarray:
 
 def _finite(value, name: str) -> float:
     """``float(value)``; an overflowed (inf or nan) value raises InvalidInputError."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise InvalidInputError(f"{name} overflows float64; rescale the input")
-    return value
+    return _real(value, f"{name} overflows float64; rescale the input")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -341,7 +338,7 @@ def weissler_bound(series: FourierSeries, power: WeightPower | str) -> float:
     try:
         power = WeightPower(power)
     except ValueError:
-        raise ParamOutOfRangeError(f"unknown weight power {power!r}") from None
+        raise ParamOutOfRangeError(f"unknown weight power {power!r:.40}") from None
     n = np.arange(1, series.n_max + 1)
     weights = n if power is WeightPower.ABS_N else n.astype(float) ** 2
     mode_term = 2.0 * float(weights @ (np.abs(series.half[1:]) ** 2))
@@ -379,8 +376,9 @@ def wirtinger_deficit(f: GridFunction) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_q(q: float) -> None:
-    if not (isinstance(q, numbers.Real) and 1.0 < q <= 2.0):
-        raise ParamOutOfRangeError(f"q must lie in (1, 2], got {q}")
+    message = f"q must lie in (1, 2], got {q!s:.40}"
+    if _real(q, message, ParamOutOfRangeError, 1.0) > 2.0:
+        raise ParamOutOfRangeError(message)
 
 
 def _diaz_deficits(values: np.ndarray, d: np.ndarray, q_list: Sequence[float]) -> list[float]:

@@ -25,7 +25,9 @@ def run_python_limited(
 ) -> subprocess.CompletedProcess:
     """``python *args`` in ``cwd``, with at most ``limit`` bytes of address space.
 
-    Raises ``subprocess.TimeoutExpired`` when the child runs longer than 120 s.
+    Raises ``subprocess.TimeoutExpired`` when the child runs longer than 120 s. The
+    child's stdin is empty, so a child that reads file descriptor 0 gets end of file at
+    once instead of waiting on the terminal or pipe of the process that runs the suite.
     """
     # The child runs in cwd, where a relative PYTHONPATH entry such as
     # "src" resolves to nothing; point it at the package imported here.
@@ -42,7 +44,7 @@ def run_python_limited(
 
     return subprocess.run(
         [sys.executable, *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120,
         preexec_fn=cap_address_space,
     )
 

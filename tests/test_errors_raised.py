@@ -32,17 +32,22 @@ from lsilab import (
     diaz_deficit,
     diaz_probe,
     fourier_from_dict,
+    grid_points,
     lsi_deficit_circle,
     lsi_deficit_density_form,
     lsi_deficit_general,
     minimize_deficit,
+    read_fourier_json,
     read_grid_csv,
     sample_family,
     sharpness_sweep,
     wang_ode_residual,
     weissler_bound,
     wirtinger_deficit,
+    write_fourier_json,
+    write_grid_csv,
 )
+from lsilab.function_space import MAX_SAMPLES
 
 PACKAGE = Path(lsilab.__file__).parent
 
@@ -78,6 +83,10 @@ def test_every_declared_error_is_raised():
 
 def _constant(domain, c=1.0, n=17):
     return sample_family("constant", [c], domain, n)
+
+
+#: An int too large for a float.
+HUGE = 10**400
 
 
 def _backwards_circle_csv(path):
@@ -177,6 +186,61 @@ INPUT_CHECKS = [
      DomainMismatchError, "power-mean deficit requires the domain [0, 1]"),
     ("affine-normalize-domain", lambda tmp: affine_normalize(_constant(UNIT_CIRCLE)),
      DomainMismatchError, "affine normalization requires an interval domain"),
+    # the escapes that a huge int, a ragged list, a non-mapping or a non-path used to open
+    ("interval-huge-endpoint", lambda tmp: Interval(0, HUGE),
+     InvalidInputError, "interval endpoints must be finite"),
+    ("circle-huge-circumference", lambda tmp: Circle(HUGE),
+     InvalidInputError, "circle circumference must be positive and finite"),
+    ("series-huge-circumference", lambda tmp: FourierSeries(HUGE, [1.0]),
+     InvalidInputError, "circumference must be positive and finite"),
+    ("fourier_from_dict-huge-circumference", lambda tmp: fourier_from_dict(-HUGE, {0: 1.0}),
+     InvalidInputError, "circumference must be positive and finite"),
+    ("constant-huge", lambda tmp: sample_family("constant", [HUGE], UNIT_INTERVAL, 17),
+     ParamOutOfRangeError, "constant must be finite"),
+    ("grid-ragged-values", lambda tmp: GridFunction(UNIT_INTERVAL, [[1.0] * 16, [1.0] * 17]),
+     InvalidInputError, "values must be real numbers"),
+    ("with_values-ragged", lambda tmp: _constant(UNIT_INTERVAL, n=16).with_values([[1.0] * 16, [1.0] * 17]),
+     InvalidInputError, "values must be real numbers"),
+    ("series-ragged-half", lambda tmp: FourierSeries(1.0, [[1], [1, 2]]),
+     InvalidInputError, "coefficients must be finite"),
+    ("init-ragged", lambda tmp: minimize_deficit(UNIT_INTERVAL, 2, 0, 5, n=65, init=[[1.0], [1.0, 2.0]]),
+     ParamOutOfRangeError, "init coefficients must be finite"),
+    ("fourier_from_dict-float-entries", lambda tmp: fourier_from_dict(1.0, 2.5),
+     InvalidInputError, "entries must be a mapping {n: a_n}, got float"),
+    ("fourier_from_dict-list-entries", lambda tmp: fourier_from_dict(1.0, [1.0]),
+     InvalidInputError, "entries must be a mapping {n: a_n}, got list"),
+    ("fourier_from_dict-array-entries", lambda tmp: fourier_from_dict(1.0, np.ones((2, 3))),
+     InvalidInputError, "entries must be a mapping {n: a_n}, got ndarray"),
+    ("fourier_from_dict-string-value", lambda tmp: fourier_from_dict(1.0, {0: "x"}),
+     InvalidInputError, "coefficients must be finite"),
+    ("fourier_from_dict-vector-values", lambda tmp: fourier_from_dict(1.0, {1: [1, 2], -1: [1, 2]}),
+     InvalidInputError, "coefficients must be finite"),
+    ("write_grid_csv-int-path", lambda tmp: write_grid_csv(_constant(UNIT_INTERVAL), 3),
+     InvalidInputError, "bad path 3: expected str, bytes or os.PathLike object, not int"),
+    ("write_grid_csv-nul-path", lambda tmp: write_grid_csv(_constant(UNIT_INTERVAL), "a\0b"),
+     InvalidInputError, "bad path 'a\\x00b': embedded null byte"),
+    ("read_grid_csv-none-path", lambda tmp: read_grid_csv(None, "interval"),
+     InvalidInputError, "bad path None: expected str, bytes or os.PathLike object, not NoneType"),
+    ("read_fourier_json-huge-path", lambda tmp: read_fourier_json(HUGE),
+     InvalidInputError, f"bad path {str(HUGE)[:40]}: expected str, bytes or os.PathLike object, not int"),
+    ("write_fourier_json-none-path", lambda tmp: write_fourier_json(FourierSeries(1.0, [1.0]), None),
+     InvalidInputError, "bad path None: expected str, bytes or os.PathLike object, not NoneType"),
+    ("csv-array-kind", lambda tmp: read_grid_csv(tmp / "f.csv", np.ones(2)),
+     InvalidInputError, "unknown domain kind array([1., 1.])"),
+    ("sharpness-eps-huge", lambda tmp: sample_family("sharpness", [HUGE], UNIT_INTERVAL, 17),
+     ParamOutOfRangeError, f"eps must lie in (0, 1), got {str(HUGE)[:40]}"),
+    ("diaz-q-huge", lambda tmp: diaz_deficit(_constant(UNIT_INTERVAL), HUGE),
+     ParamOutOfRangeError, f"q must lie in (1, 2], got {str(HUGE)[:40]}"),
+    ("grid-points-huge-n", lambda tmp: grid_points(UNIT_INTERVAL, HUGE),
+     ParamOutOfRangeError, f"need n <= {MAX_SAMPLES} samples, got {str(HUGE)[:40]}"),
+    ("optimizer-huge-n_modes", lambda tmp: minimize_deficit(UNIT_INTERVAL, HUGE, 0, 1),
+     ParamOutOfRangeError, f"{str(HUGE)[:40]} modes need N >= {str(2 * HUGE)[:40]}, got 2049"),
+    ("family-params-number", lambda tmp: sample_family("constant", 1.0, UNIT_INTERVAL, 17),
+     ParamOutOfRangeError, "family constant takes a list of parameters"),
+    ("sweep-eps-number", lambda tmp: sharpness_sweep(0.1, 2049),
+     ParamOutOfRangeError, "eps_list must be a list"),
+    ("probe-q-number", lambda tmp: diaz_probe(1.5, 2, 0),
+     ParamOutOfRangeError, "q_list must be a list"),
 ]
 
 
@@ -187,3 +251,46 @@ def test_each_input_check_raises_its_class_and_message(tmp_path, call, error, me
         call(tmp_path)
     assert type(info.value) is error
     assert str(info.value) == message.replace("{path}", str(tmp_path / "f.csv"))
+
+
+#: The only functions of lsilab that test for a real number, read a dtype kind or open a file.
+REFUSAL_HOLDERS = {"_real", "_samples", "_open"}
+
+
+def refusal_owners(source: str) -> set[str | None]:
+    """Names of the innermost functions that refer to ``numbers.Real``, to ``<x>.dtype.kind``,
+    to the builtin ``open`` or to any ``.open`` attribute; None at module level, where
+    ``from numbers import Real`` also counts."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Attribute) and (
+                node.attr == "open"
+                or node.attr == "kind" and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"
+                or node.attr == "Real" and isinstance(node.value, ast.Name) and node.value.id == "numbers")
+                or isinstance(node, ast.Name) and node.id == "open"
+                or isinstance(node, ast.ImportFrom) and node.module == "numbers"):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_refusal_tripwire_names_the_innermost_holder():
+    source = (
+        "from numbers import Real\n"
+        "def f(x):\n    return isinstance(x, numbers.Real)\n"
+        "def g(a):\n    def h():\n        return a.dtype.kind\n    return h, a.kind, a.dtype\n"
+        "def k(p):\n    return open(p), Path(p).open()\n"
+        "def m(p):\n    return real(p), numbers.Integral, opened(p)\n"
+    )
+    assert refusal_owners(source) == {None, "f", "h", "k"}
+
+
+def test_only_the_three_helpers_test_reals_dtypes_and_open_files():
+    holders = set().union(*(refusal_owners(p.read_text()) for p in PACKAGE.glob("*.py")))
+    assert holders == REFUSAL_HOLDERS
