@@ -21,7 +21,7 @@ A count is a whole number in its range, and anything else exits 1 (the
 library raises ParamOutOfRangeError). Sizes are capped at MAX_SAMPLES = 2**24,
 and a larger one exits 1 before it is allocated: --N, the data rows of a grid
 CSV, the 2*max|n| + 1 coefficients of a Fourier JSON, and the N * --n-modes
-entries of the ``optimize`` basis matrix.
+entries of the ``optimize`` basis matrix. ``diaz --trials`` has the same cap.
 
 Relative output paths resolve against $LSILAB_OUTPUT_DIR when it is set.
 Identical invocations (including seeds) produce byte-identical outputs.

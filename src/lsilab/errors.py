@@ -7,7 +7,12 @@ genuine numerical findings.
 
 
 class LsiLabError(Exception):
-    """Base class for all lsilab errors."""
+    """Base class for all lsilab errors. Its message is one line: each line break, such as
+    those in the repr of a 2-d array that a message echoes, becomes one space."""
+
+    def __str__(self) -> str:
+        first, *rest = super().__str__().splitlines() or [""]
+        return " ".join([first, *(line.strip() for line in rest)])
 
 
 class InvalidInputError(LsiLabError):

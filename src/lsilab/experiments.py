@@ -398,16 +398,21 @@ def diaz_probe(
     Trial 0 is the constant 1 and trial t >= 1 is, bit for bit, ``random_admissible_function(
     UNIT_INTERVAL, modes, seed + t, n, normalize=False)``, built in batches of at most _PROBE_BATCH
     samples, one at a time, that evaluate each cosine once. Every exponent sees the same trials, so
-    each minimum equals the one per-exponent :func:`diaz_deficit` calls give. Only witnesses are kept.
+    each minimum equals the one per-exponent :func:`diaz_deficit` calls give. Only each exponent's
+    running minimum and flagged trials, and the witnesses, are kept. trials lies in [1, MAX_SAMPLES].
     """
-    trials = _whole(trials, 1, f"need an integer trials >= 1, got {trials!s:.40}")
+    message = f"need an integer trials in [1, {MAX_SAMPLES}], got {trials!s:.40}"
+    trials = _whole(trials, 1, message)
+    if trials > MAX_SAMPLES:
+        raise ParamOutOfRangeError(message)
     n = _check_size(n)
     seed = _whole(seed, 0, "seed must be a nonnegative integer")
     modes = _check_modes(UNIT_INTERVAL, modes, n)
     q_list = _listed(q_list, "q_list must be a list")
     for q in q_list:  # before any trial is drawn
         _check_q(q)
-    rows, witnesses, step = [], {}, max(1, _PROBE_BATCH // n)
+    minima, flagged = [(math.inf, 0)] * len(q_list), [[] for _ in q_list]
+    witnesses, step = {}, max(1, _PROBE_BATCH // n)
     for t in range(trials):
         if t == 0:
             f = sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, n)
@@ -417,16 +422,18 @@ def diaz_probe(
                 draws = [_random_trig_draws(UNIT_INTERVAL, seed + s, modes, n) for s in range(t, trials)[:step]]
                 batch = _lift(_cosine_series(UNIT_INTERVAL, np.array(draws), n))
             f = GridFunction._adopt(UNIT_INTERVAL, batch[(t - 1) % step])
-        rows.append(_diaz_deficits(_check_nonnegative(f.values), differentiate(f).values, q_list))
-        if any(deficit < DIAZ_FLAG_TOL for deficit in rows[-1]):
+        deficits = [float(d) for d in _diaz_deficits(
+            _check_nonnegative(f.values), differentiate(f).values, q_list)]
+        for i, d in enumerate(deficits):
+            if d < minima[i][0]:  # strict, so the first trial of the least deficit is kept
+                minima[i] = (d, t)
+            if d < DIAZ_FLAG_TOL:
+                flagged[i].append(t)
+        if any(d < DIAZ_FLAG_TOL for d in deficits):
             witnesses[t] = GridFunction(UNIT_INTERVAL, f.values)  # a copy, which holds no batch
-    results, counterexamples = [], []
-    for q, column in zip(q_list, np.array(rows).T):  # rows: trials x q
-        argmin = int(np.argmin(column))
-        min_deficit = float(column[argmin])
-        results.append(DiazQResult(q, min_deficit, argmin, min_deficit < DIAZ_FLAG_TOL))
-        counterexamples += [(q, t, witnesses[t]) for t in range(trials) if column[t] < DIAZ_FLAG_TOL]
-    return DiazProbeReport(seed, trials, n, modes, tuple(results), tuple(counterexamples))
+    results = tuple(DiazQResult(q, d, t, d < DIAZ_FLAG_TOL) for q, (d, t) in zip(q_list, minima))
+    counterexamples = tuple((q, t, witnesses[t]) for q, ts in zip(q_list, flagged) for t in ts)
+    return DiazProbeReport(seed, trials, n, modes, results, counterexamples)
 
 
 def write_counterexamples(report: DiazProbeReport, stem: str | Path) -> list[Path]:

@@ -111,7 +111,10 @@ def _check_size(n: int, least: int = 1, limit: int = MAX_SAMPLES) -> int:
 
 def _whole(value: float, least: float, message: str) -> int:
     """``value`` as an int, or ParamOutOfRangeError(message) unless it is a whole number >= least:
-    None, a string, inf and nan fail like 2.5. Every count lsilab takes is checked here."""
+    None, a string, a complex number, inf and nan fail like 2.5. Every count lsilab takes is
+    checked here."""
+    if isinstance(value, np.complexfloating):  # int() would warn, then drop the imaginary part
+        raise ParamOutOfRangeError(message)
     try:
         whole = int(value)
     except (OverflowError, TypeError, ValueError):  # inf, nan, None

@@ -29,7 +29,6 @@ from lsilab import (
     UNIT_CIRCLE,
     UNIT_INTERVAL,
     affine_normalize,
-    diaz_deficit,
     diaz_probe,
     differentiate,
     dirichlet_energy,
@@ -48,10 +47,10 @@ import lsilab
 from lsilab import experiments, function_space
 from lsilab.cli import main
 from lsilab.experiments import random_admissible_function
-from lsilab.function_space import BLOCK, MAX_SAMPLES, _check_size, _whole
-from lsilab.functionals import _finite
+from lsilab.function_space import MAX_SAMPLES, _check_size, _whole
 
 from child import run_cli_limited, run_python_limited
+from references import complex_factor_energy, probe_witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -149,22 +148,6 @@ def test_transform_outputs_do_not_share_memory_with_their_inputs():
 # circle energy with a real scale factor
 # ---------------------------------------------------------------------------
 
-def _complex_factor_energy(f):
-    """The circle energy as computed before: the spectrum times 2 pi i k / L,
-    with the squared magnitudes summed by one vdot per block of BLOCK modes."""
-    n = f.n
-    spectrum = np.fft.rfft(f.values)
-    spectrum *= 2j * np.pi * np.fft.rfftfreq(n, d=f.domain.circumference / n)
-    if n % 2 == 0:
-        spectrum[-1] = 0.0
-    if not np.all(np.isfinite(spectrum)):
-        raise InvalidInputError("derivative overflows float64; rescale the input")
-    d = spectrum[1:]
-    d /= n
-    total = sum(np.vdot(d[lo:lo + BLOCK], d[lo:lo + BLOCK]).real for lo in range(0, d.size, BLOCK))
-    return _finite(2.0 * f.domain.circumference * total, "Dirichlet energy")
-
-
 def _energy_or_error(energy, f):
     with np.errstate(all="ignore"):
         try:
@@ -182,7 +165,7 @@ def test_circle_energy_equals_the_complex_factor_expression(n, length, scale):
     values = 1.0 + 0.3 * np.cos(2 * np.pi * x) + 0.1 * np.sin(6 * np.pi * x) + 0.01 * rng.standard_normal(n)
     f = GridFunction(Circle(length), values * scale)
     got = _energy_or_error(dirichlet_energy, f)
-    assert got == _energy_or_error(_complex_factor_energy, f)
+    assert got == _energy_or_error(complex_factor_energy, f)
     assert isinstance(got, str if scale == 1e300 else float)  # 1e300: the energy overflows
 
 
@@ -252,21 +235,12 @@ def test_probe_peak_memory_does_not_grow_with_the_trials():
     assert peak < 0.5 * 2**20
 
 
-def _reference_witnesses(q_list, trials, seed, n, modes, tol):
-    """(q, trial, function) for each deficit below tol, from per-trial sampling."""
-    functions = [sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, n)] + [
-        random_admissible_function(UNIT_INTERVAL, modes, seed + t, n, normalize=False)
-        for t in range(1, trials)
-    ]
-    return [(q, t, f) for q in q_list for t, f in enumerate(functions) if diaz_deficit(f, q) < tol]
-
-
 @pytest.mark.parametrize("tol", [0.05, 1.0], ids=["some-trials", "every-trial"])
 def test_probe_witnesses_equal_per_trial_sampling(monkeypatch, tol):
     monkeypatch.setattr(experiments, "DIAZ_FLAG_TOL", tol)
     q_list, trials, seed, n, modes = [1.25, 2.0], 8, 5, 257, 8
     report = diaz_probe(q_list, trials, seed, n=n, modes=modes)
-    want = _reference_witnesses(q_list, trials, seed, n, modes, tol)
+    want = probe_witnesses(q_list, trials, seed, n, modes, tol)
     assert [(q, t) for q, t, _ in report.counterexamples] == [(q, t) for q, t, _ in want]
     for (_, _, got), (_, _, f) in zip(report.counterexamples, want):
         np.testing.assert_array_equal(got.values, f.values)
@@ -281,7 +255,7 @@ def test_diaz_exit_three_writes_the_witnesses_of_per_trial_sampling(monkeypatch,
     code = main(["diaz", "--q", "1.25,2", "--trials", "8", "--seed", "5", "--N", "257",
                  "--modes", "8", "--output", str(out)])
     assert code == 3
-    want = _reference_witnesses([1.25, 2.0], 8, 5, 257, 8, 0.05)
+    want = probe_witnesses([1.25, 2.0], 8, 5, 257, 8, 0.05)
     paths = [tmp_path / f"diaz.csv.witness-q{q}-t{t}.csv" for q, t, _ in want]
     assert capsys.readouterr().err == (
         f"lsilab: counterexample candidates written to {', '.join(map(str, paths))}\n"
@@ -328,6 +302,15 @@ def test_optimize_over_the_basis_limit_exits_one_in_a_capped_child(tmp_path, fla
     proc = run_cli_limited(["optimize", *flags, "--output", "optimize.json"], tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"lsilab: error: {message}\n")
     assert not (tmp_path / "optimize.json").exists()
+
+
+def test_diaz_over_the_trial_cap_exits_one_in_a_capped_child(tmp_path):
+    # a huge count is refused at once instead of running for days
+    proc = run_cli_limited(["diaz", "--q", "1.5", "--trials", "100000000000", "--output", "diaz.csv"],
+                           tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"lsilab: error: need an integer trials in [1, {MAX_SAMPLES}], got 100000000000\n")
+    assert not (tmp_path / "diaz.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +426,15 @@ def test_every_count_outside_its_range_is_refused_in_a_capped_child(count_probe_
         assert line == f"ParamOutOfRangeError need n <= {MAX_SAMPLES} samples, got {v}"
     else:
         assert line.startswith("ParamOutOfRangeError "), line
+
+
+@pytest.mark.parametrize("call", [call for _, _, call in COUNTS.values()],
+                         ids=[f"{entry}-{param}" for entry, param in COUNTS])
+def test_every_count_refuses_a_numpy_complex_before_int_warns(call):
+    # int(np.complex128(1j)) warns ComplexWarning, an error under this suite's filter
+    names = vars(lsilab) | {"np": np, "mode_quotient": experiments.mode_quotient}
+    with pytest.raises(ParamOutOfRangeError):
+        eval(call, names, {"v": np.complex128(1j)})
 
 
 #: Parameter names that hold a count.

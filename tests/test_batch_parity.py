@@ -37,9 +37,11 @@ from lsilab import (
 )
 from lsilab import experiments, function_space, functionals
 from lsilab.cli import main
-from lsilab.experiments import DIAZ_FLAG_TOL, random_admissible_function
+from lsilab.experiments import DIAZ_FLAG_TOL
 from lsilab.function_space import grid_points, quadrature_weights
 from lsilab.functionals import _check_nonnegative, _diaz_deficits, _entropy_integrand
+
+from references import masked_square_log, probe_trials
 
 
 # ---------------------------------------------------------------------------
@@ -89,18 +91,11 @@ def test_sweep_checks_every_epsilon_before_any_grid_work(monkeypatch, tmp_path, 
 # power-mean probe
 # ---------------------------------------------------------------------------
 
-def _trials(trials, seed, n, modes):
-    return [sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, n)] + [
-        random_admissible_function(UNIT_INTERVAL, modes, seed + t, n, normalize=False)
-        for t in range(1, trials)
-    ]
-
-
 @pytest.mark.parametrize("n, modes", [(2049, 16), (257, 8), (17, 8)])
 def test_probe_minima_equal_per_exponent_deficits(n, modes):
     q_list, trials, seed = [1.25, 1.5, 2.0, 1.0001], 6, 21
     report = diaz_probe(q_list, trials, seed, n=n, modes=modes)
-    functions = _trials(trials, seed, n, modes)
+    functions = probe_trials(trials, seed, n, modes)
     counterexamples = []
     for q, result in zip(q_list, report.results):
         deficits = [diaz_deficit(f, q) for f in functions]
@@ -146,7 +141,7 @@ def test_probe_batches_equal_per_trial_sampling(monkeypatch, n, modes, tol):
     q_list, trials, seed = [1.25, 1.5, 2.0], 7, 11
     report = diaz_probe(q_list, trials, seed, n=n, modes=modes)
     assert batches == [2, 2, 2]
-    functions = _trials(trials, seed, n, modes)
+    functions = probe_trials(trials, seed, n, modes)
     witnesses = []
     for q, result in zip(q_list, report.results):
         deficits = [diaz_deficit(f, q) for f in functions]
@@ -221,8 +216,7 @@ def test_entropy_fast_path_equals_the_masked_integrand(case):
             want = float(quadrature_weights(domain, f.n) @ integrand)
         else:  # log f times the square scaled by L/n in one block; the walker's (f^2 log f)
             # times L/n sums to the same bits on these inputs
-            square = values * values * (domain.circumference / f.n)
-            want = float(np.sum(np.log(np.where(values > 0.0, values, 1.0)) * square))
+            want = float(np.sum(masked_square_log(values, domain.circumference / f.n)))
         assert entropy(f) == want
         if isinstance(domain, Interval):
             report = lsi_deficit_general(f)

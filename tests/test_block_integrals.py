@@ -10,7 +10,7 @@ on circles) with ``==``; every grid must agree with a ``math.fsum``
 reference of the same weighted integrand within :func:`_fsum_bound`.
 Apart from the interval Dirichlet energy, none of them builds the weights
 of more than BLOCK nodes. The mass-entropy walk the report had before it
-joined ``_integrals`` is kept below as a reference, and a syntax-tree
+joined ``_integrals`` is ``references.mass_entropy_walk``, and a syntax-tree
 tripwire keeps every ``np.log`` of the library in its four holders. No
 computed float is frozen here.
 """
@@ -57,6 +57,8 @@ from lsilab.functionals import (
     _fisher_report,
     _log_sobolev_report,
 )
+
+from references import mass_entropy_walk
 
 SIZES = [16, 17, 8191, 8192, 8193, 16387, 65537, 131072]
 DOMAINS = [UNIT_INTERVAL, Interval(-1.0, 2.5), UNIT_CIRCLE]
@@ -123,29 +125,6 @@ def test_interval_sums_up_to_one_block_equal_the_full_dot(domain, n, case):
     assert entropy(f) == want
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _old_square_integrals(f):
-    """``(integral f^2, integral f^2 log f)`` as the report's own walk gave them before it
-    joined ``_integrals``: log f read as 0 where f <= 0, each block dotted with its Simpson
-    weights, or summed on circles after the square is scaled by the step L/n and then
-    multiplied by log f."""
-    values, n = f.values, f.n
-    low = float(np.min(values))
-    weights = None if isinstance(f.domain, Circle) else quadrature_weights(f.domain, n)
-    mass, ent = 0.0, 0.0
-    for lo in range(0, n, BLOCK):
-        v = values[lo:lo + BLOCK]
-        sq = v * v
-        if weights is None:
-            sq *= f.domain.circumference / n
-        w = None if weights is None else weights[lo:lo + BLOCK]
-        mass += float(np.sum(sq) if w is None else w @ sq)
-        lg = np.log(v if low > 0.0 else np.where(v > 0.0, v, 1.0))
-        lg *= sq
-        ent += float(np.sum(lg) if w is None else w @ lg)
-    return mass, ent
-
-
 def _merged_integrals(f):
     """The squared mass and the entropy, alone and from the report where its domain allows one."""
     got = [(squared_mass(f), entropy(f))]
@@ -161,7 +140,7 @@ def _merged_integrals(f):
 def test_interval_integrals_equal_the_old_mass_entropy_walk(domain, n, case):
     f = GridFunction(domain, _values(case, n))
     got = _merged_integrals(f)
-    assert got == [_old_square_integrals(f)] * len(got)
+    assert got == [mass_entropy_walk(f)] * len(got)
 
 
 #: Circles whose step L/n is a power of two, so scaling by it is exact in either order.
@@ -180,7 +159,7 @@ ROUNDED_STEP_CIRCLES = [(UNIT_CIRCLE, 17), (UNIT_CIRCLE, 8193), (Circle(3.0), 40
 def test_circle_integrals_with_an_exact_step_equal_the_old_walk(domain, n, case):
     f = GridFunction(domain, _values(case, n))
     got = _merged_integrals(f)
-    assert got == [_old_square_integrals(f)] * len(got)
+    assert got == [mass_entropy_walk(f)] * len(got)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -189,7 +168,7 @@ def test_circle_integrals_with_an_exact_step_equal_the_old_walk(domain, n, case)
 def test_other_circle_integrals_agree_with_the_old_walk(domain, n, case):
     values = _values(case, n)
     f = GridFunction(domain, values)
-    old_mass, old_ent = _old_square_integrals(f)
+    old_mass, old_ent = mass_entropy_walk(f)
     step = domain.circumference / n
     mass_terms = step * (values * values)
     ent_terms = step * _entropy_integrand(_check_nonnegative(values))

@@ -29,6 +29,7 @@ from lsilab.experiments import DiazProbeReport, DiazQResult
 from lsilab.function_space import MAX_SAMPLES, write_csv
 
 from child import run_cli_limited
+from references import probe_csv, report_csv, sweep_csv
 
 
 @pytest.fixture
@@ -758,35 +759,6 @@ def test_help_exits_zero(capsys, argv):
     assert "usage: lsilab" in capsys.readouterr().out
 
 
-# The three report writers that write_csv replaced, kept as the byte reference.
-def _reference_report_csv(report, path):
-    with open(path, "w") as handle:
-        ratio = "" if report.ratio is None else repr(float(report.ratio))
-        handle.write("mass,entropy,energy,constant,deficit,ratio\n")
-        handle.write(
-            f"{float(report.mass)!r},{float(report.entropy)!r},{float(report.energy)!r},"
-            f"{float(report.constant)!r},{float(report.deficit)!r},{ratio}\n"
-        )
-
-
-def _reference_sweep_csv(records, path):
-    with open(path, "w") as handle:
-        handle.write("epsilon,energy,entropy,ratio,deficit\n")
-        for r in records:
-            handle.write(
-                f"{float(r.epsilon)!r},{float(r.energy)!r},{float(r.entropy)!r},"
-                f"{float(r.ratio)!r},{float(r.deficit)!r}\n"
-            )
-
-
-def _reference_probe_csv(results, path):
-    with open(path, "w") as handle:
-        handle.write("q,min_deficit,flag\n")
-        for r in results:
-            flag = "true" if r.flagged else "false"
-            handle.write(f"{float(r.q)!r},{float(r.min_deficit)!r},{flag}\n")
-
-
 def test_write_csv_matches_the_replaced_report_writers(tmp_path):
     reports = [
         lsilab.lsi_deficit_general(
@@ -797,11 +769,11 @@ def test_write_csv_matches_the_replaced_report_writers(tmp_path):
     records = lsilab.sharpness_sweep([0.3, 0.1], 2049)
     results = [DiazQResult(1.5, -1e-3, 4, True), DiazQResult(np.float64(2.0), 1e-17, 0, False)]
     cases = [
-        (_reference_report_csv, r, functionals.REPORT_CSV_HEADER, [r.csv_row()]) for r in reports
+        (report_csv, r, functionals.REPORT_CSV_HEADER, [r.csv_row()]) for r in reports
     ] + [
-        (_reference_sweep_csv, records, experiments.SWEEP_CSV_HEADER,
+        (sweep_csv, records, experiments.SWEEP_CSV_HEADER,
          [r.csv_row() for r in records]),
-        (_reference_probe_csv, results, experiments.DIAZ_CSV_HEADER,
+        (probe_csv, results, experiments.DIAZ_CSV_HEADER,
          [r.csv_row() for r in results]),
     ]
     for i, (reference, data, header, rows) in enumerate(cases):

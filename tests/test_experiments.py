@@ -12,7 +12,6 @@ from lsilab import (
     FOUR_PI_SQUARED,
     Family,
     InsufficientDataError,
-    Interval,
     PI_SQUARED,
     ParamOutOfRangeError,
     SweepRecord,
@@ -37,12 +36,12 @@ from lsilab.experiments import (
     DiazProbeReport,
     DiazQResult,
     SWEEP_CSV_HEADER,
-    RATIO_ENTROPY_FLOOR,
     _basis_matrix,
     mode_quotient,
 )
 from lsilab.function_space import quadrature_weights, write_csv, write_json
-from lsilab.functionals import _entropy_integrand, _geometry
+
+from references import probe_dict, two_synthesis_optimizer
 
 
 # ---------------------------------------------------------------------------
@@ -276,77 +275,6 @@ def test_closed_form_energy_matches_the_assembled_form(domain, n, n_modes):
         assert energy_weights @ np.square(c) == pytest.approx(c @ form @ c, rel=1e-13, abs=0.0)
 
 
-def _old_minimize_deficit(domain, n_modes, seed, max_iters, *, n=None, init=None):
-    """The optimizer as it stood when ``evaluate`` and ``gradient`` each synthesized
-    ``basis @ c``, kept as the reference of its numbers; inputs are assumed valid."""
-    _, constant = _geometry(domain)
-    n = (2049 if isinstance(domain, Interval) else 2048) if n is None else n
-    rng = np.random.default_rng(seed)
-    if init is not None:
-        c = np.asarray(init, dtype=float).copy()
-    else:
-        decay = np.array([1.0 / (1 + (k + 1) // 2) ** 2 for k in range(n_modes)])
-        c = rng.standard_normal(n_modes) * decay
-
-    basis, energy_weights = _basis_matrix(domain, n_modes, n)
-    w = quadrature_weights(domain, n)
-    mass_form = basis.T @ (basis * w[:, None])
-
-    def normalize(c):
-        return c / math.sqrt(c @ mass_form @ c)
-
-    def evaluate(c):
-        ent = float(w @ _entropy_integrand(np.abs(basis @ c)))
-        energy = float(energy_weights @ np.square(c))
-        return energy, ent, energy - constant * ent
-
-    def gradient(c):
-        g = basis @ c
-        ag = np.abs(g)
-        ent_slope = np.where(ag > 0.0, 2.0 * g * np.log(np.where(ag > 0.0, ag, 1.0)) + g, 0.0)
-        return 2.0 * energy_weights * c - constant * (basis.T @ (w * ent_slope))
-
-    c = normalize(c)
-    energy, ent, deficit = evaluate(c)
-    best_deficit = deficit
-    best_c = c.copy()
-    best_ratio = energy / ent if ent > RATIO_ENTROPY_FLOOR else None
-    step = 1e-2
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, max_iters + 1):
-        grad = gradient(c)
-        normal = mass_form @ c
-        tangent = grad - (grad @ normal) / (normal @ normal) * normal
-        gnorm2 = float(tangent @ tangent)
-        if gnorm2 <= 1e-18:
-            converged = True
-            break
-        accepted = False
-        step = min(step * 2.0, 1e6)
-        for _ in range(60):
-            trial = normalize(c - step * grad)
-            t_energy, t_ent, t_deficit = evaluate(trial)
-            if t_deficit <= deficit - 1e-4 * step * gnorm2:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            converged = True
-            break
-        c, energy, ent, deficit = trial, t_energy, t_ent, t_deficit
-        if deficit < best_deficit:
-            best_deficit = deficit
-            best_c = c.copy()
-        if ent > RATIO_ENTROPY_FLOOR:
-            ratio = energy / ent
-            if best_ratio is None or ratio < best_ratio:
-                best_ratio = ratio
-
-    return best_deficit, best_ratio, best_c.tobytes(), iterations, converged
-
-
 #: (domain, n_modes, seed, max_iters, keyword arguments) of the parity pin below.
 PARITY_CASES = [
     *[(domain, 16, seed, 400, {}) for domain in (UNIT_INTERVAL, UNIT_CIRCLE) for seed in range(10)],
@@ -362,7 +290,7 @@ PARITY_CASES = [
 def test_optimizer_matches_its_two_synthesis_reference(domain, n_modes, seed, max_iters, options):
     r = minimize_deficit(domain, n_modes, seed, max_iters, **options)
     got = (r.best_deficit, r.best_ratio, r.coefficients.tobytes(), r.iterations, r.converged)
-    assert got == _old_minimize_deficit(domain, n_modes, seed, max_iters, **options)
+    assert got == two_synthesis_optimizer(domain, n_modes, seed, max_iters, **options)
 
 
 def basis_products(source: str, function: str) -> int:
@@ -414,26 +342,6 @@ def test_probe_is_bit_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def _reference_probe_dict(report):
-    """The field-by-field DiazProbeReport.to_dict that asdict replaced."""
-    return {
-        "seed": report.seed,
-        "trials": report.trials,
-        "n": report.n,
-        "modes": report.modes,
-        "results": [
-            {
-                "q": r.q,
-                "min_deficit": r.min_deficit,
-                "argmin_trial": r.argmin_trial,
-                "flagged": r.flagged,
-            }
-            for r in report.results
-        ],
-        "counterexamples": [{"q": q, "trial": trial} for q, trial, _ in report.counterexamples],
-    }
-
-
 def test_probe_to_dict_writes_the_bytes_of_the_field_by_field_dict(tmp_path):
     witness = sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, 64)
     reports = [
@@ -446,7 +354,7 @@ def test_probe_to_dict_writes_the_bytes_of_the_field_by_field_dict(tmp_path):
     ]
     for i, report in enumerate(reports):
         want, got = tmp_path / f"want{i}.json", tmp_path / f"got{i}.json"
-        write_json(_reference_probe_dict(report), want)
+        write_json(probe_dict(report), want)
         write_json(report.to_dict(), got)
         assert got.read_bytes() == want.read_bytes()
 

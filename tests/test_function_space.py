@@ -38,6 +38,8 @@ from lsilab import (
 from lsilab import function_space
 from lsilab.function_space import MAX_SAMPLES, read_fourier_json, write_fourier_json
 
+from references import read_grid_csv_by_row
+
 
 # ---------------------------------------------------------------------------
 # Domains and grid functions
@@ -508,34 +510,6 @@ def test_write_grid_csv_golden_bytes(tmp_path, kind):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-def _read_grid_csv_by_row(path, kind):
-    """Reference reader: one row at a time, converting as it goes."""
-    xs, vs = [], []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if lineno == 1:
-                if [c.strip() for c in row] != ["x", "value"]:
-                    raise InvalidInputError(f"{path}: line 1: expected header 'x,value'")
-                continue
-            if not row:
-                continue
-            if len(row) != 2:
-                raise InvalidInputError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                xs.append(float(row[0]))
-                vs.append(float(row[1]))
-            except ValueError:
-                raise InvalidInputError(f"{path}: line {lineno}: non-numeric field") from None
-    if len(xs) < 16:
-        raise InvalidInputError(f"{path}: need at least 16 rows, got {len(xs)}")
-    x = np.asarray(xs)
-    try:
-        domain = Interval(x[0], x[-1]) if kind == "interval" else Circle((x[1] - x[0]) * x.size)
-        return GridFunction(domain, np.asarray(vs))
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
-
-
 def _grid_rows(n=32):
     return [f"{i / (n - 1)!r},{1.0 + i / 7!r}" for i in range(n)]
 
@@ -604,7 +578,7 @@ def test_read_grid_csv_accepts_what_the_row_reader_accepts(tmp_path, case):
             warnings.simplefilter("always")
             got = read_grid_csv(path, kind)
         assert caught == []  # np.loadtxt's warnings never reach the user
-        want = _read_grid_csv_by_row(path, kind)
+        want = read_grid_csv_by_row(path, kind)
         assert np.array_equal(got.values, want.values)
         assert got.domain == want.domain
 
@@ -615,7 +589,7 @@ def test_read_grid_csv_rejects_like_the_row_reader(tmp_path, case):
     path = tmp_path / f"{case}.csv"
     path.write_bytes(text.encode())
     with pytest.raises(InvalidInputError) as want:
-        _read_grid_csv_by_row(path, "interval")
+        read_grid_csv_by_row(path, "interval")
     with pytest.raises(InvalidInputError) as got, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         read_grid_csv(path, "interval")
@@ -700,7 +674,7 @@ def test_read_grid_csv_matches_the_row_reader_on_mutated_bytes(tmp_path, edits):
     path = tmp_path / "mutated.csv"
     path.write_bytes(data)
     try:
-        want = _read_grid_csv_by_row(path, "interval")
+        want = read_grid_csv_by_row(path, "interval")
     except UnicodeDecodeError:
         want = f"{path}: not a UTF-8 text file"
     except InvalidInputError as exc:

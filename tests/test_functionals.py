@@ -49,6 +49,8 @@ from lsilab.experiments import random_admissible_function
 from lsilab.function_space import quadrature_weights
 from lsilab.functionals import _check_nonnegative, _entropy_integrand
 
+from references import masked_square_log
+
 # [frozen] integral f_eps^2 log f_eps on [0, 1] for the sharpness family
 ENTROPY_SHARPNESS = {
     0.1: 0.009962163027265682614302,
@@ -95,15 +97,6 @@ def test_entropy_zero_convention_and_clamp():
     assert math.isfinite(entropy(f))
 
 
-def _masked_entropy_integrand(values):
-    # reference: clamp, then v^2 log v on the positive entries only
-    values = np.clip(values, 0.0, None)
-    out = np.zeros_like(values)
-    pos = values > 0.0
-    out[pos] = values[pos] ** 2 * np.log(values[pos])
-    return out
-
-
 def test_entropy_integrand_is_bit_identical_to_the_masked_formula():
     rng = np.random.default_rng(7)
     with_zeros = rng.uniform(0.0, 3.0, 4097)
@@ -114,9 +107,9 @@ def test_entropy_integrand_is_bit_identical_to_the_masked_formula():
     for values in (with_zeros, clamped, np.exp(rng.uniform(-690.0, 300.0, 257))):
         f = GridFunction(UNIT_INTERVAL, values)
         integrand = _entropy_integrand(_check_nonnegative(f.values))
-        assert np.array_equal(integrand, _masked_entropy_integrand(values))
+        assert np.array_equal(integrand, masked_square_log(values))
         w = quadrature_weights(f.domain, f.n)
-        assert entropy(f) == float(w @ _masked_entropy_integrand(values))
+        assert entropy(f) == float(w @ masked_square_log(values))
 
 
 def test_check_nonnegative_copies_only_to_clamp():

@@ -3,12 +3,13 @@
 ``function_space._harmonic`` evaluates cos (or sin) of k pi u on intervals
 and of 2 pi k u on circles, u the unit coordinate. The families, the
 sharpness sweep, the ODE residual and the optimizer basis take their
-harmonics from it. The pins below keep, as references, the expressions it
-replaced and compare with ``==``; the sharpness and Wang families are
-pinned to their formulas in ``test_batch_parity.py``. The tripwire walks
-the syntax tree of every library module and names the function that holds
-each reference to ``np.cos``, ``np.sin``, ``math.cos`` or ``math.sin``:
-only the builder and the batched cosine-series kernel of RANDOM_TRIG may.
+harmonics from it. The pins below compare it with ``==`` to the
+expressions it replaced, which ``references.py`` keeps; the sharpness and
+Wang families are pinned to their formulas in ``test_batch_parity.py``.
+The tripwire walks the syntax tree of every library module and names the
+function that holds each reference to ``np.cos``, ``np.sin``, ``math.cos``
+or ``math.sin``: only the builder and the batched cosine-series kernel of
+RANDOM_TRIG may.
 """
 
 import ast
@@ -33,6 +34,8 @@ from lsilab import (
 from lsilab.experiments import _basis_matrix
 from lsilab.function_space import _harmonic, grid_points
 
+from references import circle_basis_loop, harmonic_phase, interval_basis_loop
+
 PACKAGE = Path(lsilab.__file__).parent
 
 DOMAINS = [UNIT_INTERVAL, Interval(-1.0, 2.5), UNIT_CIRCLE, Circle(3.0)]
@@ -43,42 +46,12 @@ DOMAIN_IDS = ["unit-interval", "interval", "unit-circle", "circle"]
 # the replaced expressions
 # ---------------------------------------------------------------------------
 
-def _old_phase(domain, n, k):
-    """COSINE_MODE's phase before the builder: k pi u or 2 pi k u, u = (x - a) / L or x / L."""
-    u = grid_points(domain, n)
-    if isinstance(domain, Interval):
-        u -= domain.a
-    u /= domain.length
-    u *= math.pi * k if isinstance(domain, Interval) else 2.0 * math.pi * k
-    return u
-
-
-def _old_interval_basis(n_modes, n):
-    x = grid_points(UNIT_INTERVAL, n)
-    basis = np.empty((n, n_modes))
-    basis[:, 0] = 1.0
-    for k in range(1, n_modes):
-        basis[:, k] = np.cos(k * math.pi * x)
-    return basis
-
-
-def _old_circle_basis(n_modes, n):
-    x = grid_points(UNIT_CIRCLE, n)
-    basis = np.empty((n, n_modes))
-    basis[:, 0] = 1.0
-    harmonics = (np.arange(n_modes) + 1) // 2
-    for col in range(1, n_modes):
-        phase = 2.0 * math.pi * harmonics[col] * x
-        basis[:, col] = np.cos(phase) if col % 2 == 1 else np.sin(phase)
-    return basis
-
-
 @pytest.mark.parametrize("n", [16, 17, 2048, 2049, 65537])
 @pytest.mark.parametrize("domain", DOMAINS, ids=DOMAIN_IDS)
 def test_harmonic_equals_the_expressions_it_replaced(domain, n):
     x = grid_points(domain, n)
     for k in (1, 2, 7):
-        phase = _old_phase(domain, n, k)
+        phase = harmonic_phase(domain, n, k)
         cos, sin = _harmonic(domain, n, k), _harmonic(domain, n, k, sine=True)
         assert np.array_equal(cos, np.cos(phase))
         assert np.array_equal(sin, np.sin(phase))
@@ -105,9 +78,9 @@ def test_wang_residual_equals_its_old_body(eps, n):
 
 @pytest.mark.parametrize("n_modes", [2, 3, 9, 16])
 @pytest.mark.parametrize("domain, n, old", [
-    (UNIT_INTERVAL, 65, _old_interval_basis), (UNIT_INTERVAL, 2049, _old_interval_basis),
-    (UNIT_CIRCLE, 64, _old_circle_basis), (UNIT_CIRCLE, 2048, _old_circle_basis),
-    (UNIT_CIRCLE, 2049, _old_circle_basis),
+    (UNIT_INTERVAL, 65, interval_basis_loop), (UNIT_INTERVAL, 2049, interval_basis_loop),
+    (UNIT_CIRCLE, 64, circle_basis_loop), (UNIT_CIRCLE, 2048, circle_basis_loop),
+    (UNIT_CIRCLE, 2049, circle_basis_loop),
 ], ids=["interval-65", "interval-2049", "circle-64", "circle-2048", "circle-2049"])
 def test_basis_matrix_equals_the_old_loops(domain, n, old, n_modes):
     basis, _ = _basis_matrix(domain, n_modes, n)

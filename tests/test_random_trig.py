@@ -2,8 +2,9 @@
 
 On circles the family is one Fourier series synthesized by ``from_fourier``;
 on intervals it is one row of ``function_space._cosine_series``, the kernel
-that the power-mean probe calls on batches of trials. ``_loop_reference``
-keeps the per-mode loop that built both before, draw for draw, as the reference.
+that the power-mean probe calls on batches of trials.
+``references.random_trig_loop`` keeps the per-mode loop that built both
+before, draw for draw, as the reference.
 """
 
 import math
@@ -19,39 +20,16 @@ from lsilab import (
     Interval,
     ParamOutOfRangeError,
     TruncationTooLargeError,
-    grid_points,
     sample_family,
     to_fourier,
 )
 from lsilab.experiments import random_admissible_function
 
 from child import run_python_limited
+from references import random_trig_loop
 
 SEEDS = range(5)
 GRIDS = [(n, modes) for n in (16, 17, 256, 257, 4096) for modes in (1, 8, (n - 1) // 2)]
-
-
-def _loop_reference(seeds, modes, domain, n):
-    """Samples of RANDOM_TRIG for each seed as the per-mode loop built them: c_0, then
-    one cosine per mode on intervals and one cosine and sine pair per mode on circles.
-    The loop runs over the seeds inside each mode, so each mode's cosine is evaluated once."""
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    u = grid_points(domain, n)
-    if isinstance(domain, Interval):
-        u -= domain.a
-    u /= domain.length
-    values = [np.full(n, rng.standard_normal()) for rng in rngs]
-    for k in range(1, modes + 1):
-        if isinstance(domain, Interval):
-            cos_k = np.cos(k * math.pi * u)
-            for rng, v in zip(rngs, values):
-                v += rng.standard_normal() / k**2 * cos_k
-        else:
-            cos_k, sin_k = np.cos(2.0 * math.pi * k * u), np.sin(2.0 * math.pi * k * u)
-            for rng, v in zip(rngs, values):
-                a, b = rng.standard_normal(2)
-                v += (a * cos_k + b * sin_k) / k**2
-    return values
 
 
 def _drawn_coefficients(seed, modes):
@@ -66,7 +44,7 @@ def _drawn_coefficients(seed, modes):
 
 @pytest.mark.parametrize("n, modes", GRIDS, ids=[f"n{n}-modes{m}" for n, m in GRIDS])
 def test_interval_samples_equal_the_loop(n, modes):
-    for seed, want in zip(SEEDS, _loop_reference(SEEDS, modes, UNIT_INTERVAL, n)):
+    for seed, want in zip(SEEDS, random_trig_loop(SEEDS, modes, UNIT_INTERVAL, n)):
         got = sample_family(Family.RANDOM_TRIG, [seed, modes], UNIT_INTERVAL, n)
         assert got.values.tobytes() == want.tobytes()
 
@@ -78,7 +56,7 @@ def test_circle_samples_match_the_loop_and_hold_the_drawn_coefficients(domain, n
         with pytest.raises(TruncationTooLargeError):
             sample_family(Family.RANDOM_TRIG, [0, modes], domain, n)
         return
-    for seed, want in zip(SEEDS, _loop_reference(SEEDS, modes, domain, n)):
+    for seed, want in zip(SEEDS, random_trig_loop(SEEDS, modes, domain, n)):
         got = sample_family(Family.RANDOM_TRIG, [seed, modes], domain, n)
         assert got.domain == domain
         assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
@@ -139,7 +117,7 @@ def test_the_grid_holds_every_accepted_mode_and_refuses_one_more_before_drawing(
     # cos(k pi u) on n interval nodes aliases onto 2(n - 1) - k beyond k = n - 1
     got = sample_family(Family.RANDOM_TRIG, [2, most], domain, n)
     if isinstance(domain, Interval):
-        assert got.values.tobytes() == _loop_reference([2], most, domain, n)[0].tobytes()
+        assert got.values.tobytes() == random_trig_loop([2], most, domain, n)[0].tobytes()
 
     def no_draw(*args, **kwargs):
         raise AssertionError("drew coefficients for modes the grid cannot hold")
