@@ -133,7 +133,7 @@ def _deficit(args: argparse.Namespace) -> int:
         deficit = report.deficit
         header, row, payload = functionals.REPORT_CSV_HEADER, report.csv_row(), report.to_dict()
     if out.suffix == ".csv":
-        write_csv(header, [row], out)
+        write_csv(header, [(cell,) for cell in row], out)
     else:
         write_json(payload, out)
     print(f"deficit={deficit!r}")
@@ -166,7 +166,7 @@ def _sweep(args: argparse.Namespace) -> int:
     records = experiments.sharpness_sweep(args.eps, args.n)
     constant = experiments.extrapolate_constant(records) if args.extrapolate else None
     out = _resolve_output(args, "sweep.csv")
-    write_csv(experiments.SWEEP_CSV_HEADER, [r.csv_row() for r in records], out)
+    write_csv(experiments.SWEEP_CSV_HEADER, list(zip(*(r.csv_row() for r in records))), out)
     if constant is not None:
         print(f"extrapolated_constant={constant!r}")
     return 0
@@ -201,7 +201,7 @@ def _diaz(args: argparse.Namespace) -> int:
     if out.suffix == ".json":
         write_json(report.to_dict(), out)
     else:
-        write_csv(experiments.DIAZ_CSV_HEADER, [r.csv_row() for r in report.results], out)
+        write_csv(experiments.DIAZ_CSV_HEADER, list(zip(*(r.csv_row() for r in report.results))), out)
     for r in report.results:
         print(f"q={r.q!r} min_deficit={r.min_deficit!r}")
     if report.counterexamples:

@@ -27,7 +27,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, TextIO, Union
+from typing import NamedTuple, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -57,6 +57,9 @@ DERIVATIVE_OVERFLOW = "derivative overflows float64; rescale the input"
 
 #: Nodes per block of the blocked quadrature sums (64 KiB of float64).
 BLOCK = 8192
+
+#: Rows per write of :func:`write_csv`: one block's cells hold under half a MiB.
+CSV_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -309,15 +312,15 @@ def integrate(f: GridFunction) -> float:
 
 def _integrals(domain: Domain, n: int, integrands) -> list[float]:
     """The integrals of the arrays ``integrands(lo, hi)`` gives for each block of BLOCK nodes, in
-    order: each adds ``w @ x``, w its Simpson weights (one array for the middle blocks), or
-    on circles ``sum(x * (L/n))``."""
+    order: each adds ``w @ x``, w its Simpson weights (one array for the middle blocks), or on
+    circles ``sum(x * (L/n))``, scaled in place when writable: a writable integrand is overwritten."""
     step, totals, w = domain.length / n, itertools.repeat(0.0), None
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         if isinstance(domain, Interval) and not BLOCK < lo <= n - 4 - BLOCK:
             w = _simpson_weights(domain, n, lo, hi)
-        totals = [t + float(np.sum(x * step) if w is None else w @ x)
-                  for t, x in zip(totals, integrands(lo, hi))]
+        totals = [t + float(np.sum(np.multiply(x, step, out=x if x.flags.writeable else None))
+                            if w is None else w @ x) for t, x in zip(totals, integrands(lo, hi))]
     return totals
 
 
@@ -665,10 +668,9 @@ def _check_eps(eps: float) -> float:
 # ---------------------------------------------------------------------------
 
 def write_grid_csv(f: GridFunction, path: str | Path) -> None:
-    """CSV with header ``x,value``, numbers written by ``repr``; circle grids omit the wrap point."""
-    with _open(path, "w", newline="") as handle:
-        handle.write("x,value\n")
-        handle.writelines(f"{xi!r},{vi!r}\n" for xi, vi in zip(f.x.tolist(), f.values.tolist()))
+    """The grid CSV ``x,value``, written by :func:`write_csv`, the one CSV writer: in row blocks,
+    with ``\\n`` line ends on every platform. Circle grids omit the wrap point."""
+    write_csv("x,value", (f.x, f.values), path)
 
 
 def read_grid_csv(path: str | Path, kind: str) -> GridFunction:
@@ -809,26 +811,26 @@ def write_json(payload: dict, path: str | Path) -> None:
         handle.write("\n")
 
 
-def write_csv(header: str, rows: Iterable[Sequence], path: str | Path) -> None:
-    """Every tabular CSV report of lsilab: a header line, then one line per row
-    whose numbers are written as ``repr(float(x))`` and strings as they are."""
-    with _open(path, "w") as handle:
+def write_csv(header: str, columns: Sequence[Sequence], path: str | Path) -> None:
+    """The one CSV writer of lsilab: a header line, then the columns' rows, CSV_BLOCK rows per
+    write, each line ending in ``\\n`` on every platform. A column is an array of samples, by
+    ``repr``, or a sequence of cells: strings as they are, numbers as ``repr(float(x))``."""
+    with _open(path, "w", newline="") as handle:
         handle.write(header + "\n")
-        handle.writelines(
-            ",".join(x if isinstance(x, str) else repr(float(x)) for x in row) + "\n" for row in rows
-        )
+        for lo in range(0, min(map(len, columns), default=0), CSV_BLOCK):
+            cells = (map(repr, c[lo:lo + CSV_BLOCK].tolist()) if isinstance(c, np.ndarray) else
+                     (x if isinstance(x, str) else repr(float(x)) for x in c[lo:lo + CSV_BLOCK])
+                     for c in columns)
+            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_fourier_json(series: FourierSeries, path: str | Path) -> None:
     """JSON form ``{circumference, coefficients: [{n, re, im}]}``."""
-    payload = {
-        "circumference": series.circumference,
-        "coefficients": [
-            {"n": n, "re": float(series.coefficient(n).real), "im": float(series.coefficient(n).imag)}
-            for n in range(-series.n_max, series.n_max + 1)
-        ],
-    }
-    write_json(payload, path)
+    coefficients = [
+        {"n": n, "re": float(series.coefficient(n).real), "im": float(series.coefficient(n).imag)}
+        for n in range(-series.n_max, series.n_max + 1)
+    ]
+    write_json({"circumference": series.circumference, "coefficients": coefficients}, path)
 
 
 def read_fourier_json(path: str | Path) -> FourierSeries:

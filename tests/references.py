@@ -249,6 +249,13 @@ def probe_csv(results, path):
                 [(r.q, r.min_deficit, "true" if r.flagged else "false") for r in results])
 
 
+def grid_csv(f, path):
+    """``write_grid_csv`` before the grid file went through ``write_csv``: one f-string per row."""
+    with open(path, "w", newline="") as handle:
+        handle.write("x,value\n")
+        handle.writelines(f"{xi!r},{vi!r}\n" for xi, vi in zip(f.x.tolist(), f.values.tolist()))
+
+
 def read_grid_csv_by_row(path, kind):
     """``read_grid_csv`` one row at a time, converting as it goes, before c8755dc read in bulk."""
     xs, vs = [], []

@@ -2,9 +2,10 @@
 
 ``function_space._integrals`` holds the one loop over node blocks, with
 slices of the Simpson weights on intervals and the step L/n times the sum
-on circles. The squared mass, the entropy, the log-Sobolev report (one
-square per node for both), ``integrate``, the Fisher report, the Wirtinger
-deficit and the power-mean deficits are walks of it. Grids of up to BLOCK
+on circles, scaled in place in each writable integrand. The squared mass,
+the entropy, the log-Sobolev report (one square per node for both),
+``integrate``, the Fisher report, the Wirtinger deficit and the
+power-mean deficits are walks of it. Grids of up to BLOCK
 nodes must equal the full-grid ``w @ integrand`` (``sum((L/n) * integrand)``
 on circles) with ``==``; every grid must agree with a ``math.fsum``
 reference of the same weighted integrand within :func:`_fsum_bound`.
@@ -323,6 +324,13 @@ def test_reflection_and_circle_report_peaks_stay_below_the_full_grid_ones():
     assert _peak_mib(lambda: reflect_to_circle(f)) < 4.0
     g = _circle_wave(131072, 1.0)
     assert _peak_mib(lambda: lsi_deficit_circle(g)) < 3.0
+
+
+def test_a_circle_walk_scales_each_fresh_integrand_in_place():
+    # One block's square is 64 KiB; a scaled copy beside it made 128 KiB.
+    g = _circle_wave(131072, 1.0)
+    squared_mass(g)  # warm caches and imports
+    assert _peak_mib(lambda: squared_mass(g)) < 96 / 1024
 
 
 def test_a_family_sample_is_built_in_one_array():

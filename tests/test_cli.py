@@ -779,5 +779,5 @@ def test_write_csv_matches_the_replaced_report_writers(tmp_path):
     for i, (reference, data, header, rows) in enumerate(cases):
         want, got = tmp_path / f"want{i}.csv", tmp_path / f"got{i}.csv"
         reference(data, want)
-        write_csv(header, rows, got)
+        write_csv(header, list(zip(*rows)), got)
         assert got.read_bytes() == want.read_bytes()

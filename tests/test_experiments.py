@@ -338,7 +338,7 @@ def test_probe_is_bit_reproducible(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
         report = diaz_probe([1.5, 2.0], 10, 5)
-        write_csv(DIAZ_CSV_HEADER, [r.csv_row() for r in report.results], path)
+        write_csv(DIAZ_CSV_HEADER, list(zip(*(r.csv_row() for r in report.results))), path)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -404,7 +404,7 @@ def test_eigenvalue_check_validation():
 def test_sweep_csv_shape(tmp_path):
     records = sharpness_sweep([0.2, 0.1], 2049)
     path = tmp_path / "sweep.csv"
-    write_csv(SWEEP_CSV_HEADER, [r.csv_row() for r in records], path)
+    write_csv(SWEEP_CSV_HEADER, list(zip(*(r.csv_row() for r in records))), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "epsilon,energy,entropy,ratio,deficit"
     assert len(lines) == 3
