@@ -825,12 +825,21 @@ def write_csv(header: str, columns: Sequence[Sequence], path: str | Path) -> Non
 
 
 def write_fourier_json(series: FourierSeries, path: str | Path) -> None:
-    """JSON form ``{circumference, coefficients: [{n, re, im}]}``."""
-    coefficients = [
-        {"n": n, "re": float(series.coefficient(n).real), "im": float(series.coefficient(n).imag)}
-        for n in range(-series.n_max, series.n_max + 1)
-    ]
-    write_json({"circumference": series.circumference, "coefficients": coefficients}, path)
+    """JSON form ``{circumference, coefficients: [{n, re, im}]}`` for n = -n_max..n_max, in the
+    bytes :func:`write_json` gives that payload, formatted CSV_BLOCK modes per write."""
+    entry = '    {{\n      "im": {!r},\n      "n": {},\n      "re": {!r}\n    }}'
+    n_max, sep = series.n_max, ""
+    with _open(path, "w") as handle:
+        handle.write(f'{{\n  "circumference": {series.circumference!r},\n  "coefficients": [\n')
+        # a_{-n} = conj(a_n): the negative modes read the half backwards, im with its sign flipped
+        for modes, half, sign in ((range(-n_max, 0), series.half[:0:-1], -1.0),
+                                  (range(n_max + 1), series.half, 1.0)):
+            for lo in range(0, len(modes), CSV_BLOCK):
+                a = half[lo:lo + CSV_BLOCK]
+                handle.write(sep + ",\n".join(map(entry.format, (sign * a.imag).tolist(),
+                                                    modes[lo:lo + CSV_BLOCK], a.real.tolist())))
+                sep = ",\n"
+        handle.write("\n  ]\n}\n")
 
 
 def read_fourier_json(path: str | Path) -> FourierSeries:

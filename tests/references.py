@@ -13,7 +13,7 @@ from lsilab import (FOUR_PI_SQUARED, PI_SQUARED, UNIT_CIRCLE, UNIT_INTERVAL, Cir
                     FunctionalReport, GridFunction, Interval, InvalidInputError, diaz_deficit,
                     differentiate, dirichlet_energy, entropy, grid_points, sample_family, squared_mass)
 from lsilab.experiments import RATIO_ENTROPY_FLOOR, _basis_matrix, random_admissible_function
-from lsilab.function_space import BLOCK, quadrature_weights
+from lsilab.function_space import BLOCK, quadrature_weights, write_json
 from lsilab.functionals import _entropy_integrand, _finite, _geometry
 
 
@@ -254,6 +254,15 @@ def grid_csv(f, path):
     with open(path, "w", newline="") as handle:
         handle.write("x,value\n")
         handle.writelines(f"{xi!r},{vi!r}\n" for xi, vi in zip(f.x.tolist(), f.values.tolist()))
+
+
+def fourier_json(series, path):
+    """``write_fourier_json`` as 0dbb1da left it: every coefficient dict, then one ``write_json``."""
+    coefficients = [
+        {"n": n, "re": float(series.coefficient(n).real), "im": float(series.coefficient(n).imag)}
+        for n in range(-series.n_max, series.n_max + 1)
+    ]
+    write_json({"circumference": series.circumference, "coefficients": coefficients}, path)
 
 
 def read_grid_csv_by_row(path, kind):

@@ -13,7 +13,6 @@ its range, and the CSV reader reserves nothing for its row cap.
 
 import inspect
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +49,7 @@ from lsilab.experiments import random_admissible_function
 from lsilab.function_space import MAX_SAMPLES, _check_size, _whole
 
 from child import run_cli_limited, run_python_limited
+from pins import traced_peak
 from references import complex_factor_energy, probe_witnesses
 
 
@@ -202,21 +202,12 @@ def test_round_trip_equals_the_symmetric_part_synthesis(n, n_max):
     np.testing.assert_array_equal(from_fourier(to_fourier(f, n_max), n).values, want)
 
 
-def _peak_bytes(run) -> int:
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_sparse_two_sided_data_allocates_only_the_kept_half():
     # a_0..a_{n_max} is one array of n_max + 1 entries; a two-sided vector,
     # or a copy of the half, would double the peak
     n_max = 2**20
     half_bytes = (n_max + 1) * 16
-    peak = _peak_bytes(lambda: fourier_from_dict(1.0, {0: 1.0, n_max: 0.5 - 0.25j, -n_max: 0.5 + 0.25j}))
+    peak = traced_peak(lambda: fourier_from_dict(1.0, {0: 1.0, n_max: 0.5 - 0.25j, -n_max: 0.5 + 0.25j}))
     assert half_bytes <= peak < 1.25 * half_bytes
 
 
@@ -226,13 +217,7 @@ def test_sparse_two_sided_data_allocates_only_the_kept_half():
 
 def test_probe_peak_memory_does_not_grow_with_the_trials():
     diaz_probe([1.5], 3, 0)  # warm caches and imports
-    tracemalloc.start()
-    try:
-        diaz_probe([1.5], 200, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.5 * 2**20
+    assert traced_peak(lambda: diaz_probe([1.5], 200, 0)) < 0.5 * 2**20
 
 
 @pytest.mark.parametrize("tol", [0.05, 1.0], ids=["some-trials", "every-trial"])
@@ -499,7 +484,7 @@ def test_reading_a_short_csv_allocates_little(tmp_path):
     path = tmp_path / "f.csv"
     write_grid_csv(_positive(UNIT_INTERVAL, 4097), path)
     read_grid_csv(path, "interval")  # warm caches and imports
-    assert _peak_bytes(lambda: read_grid_csv(path, "interval")) < 2**20
+    assert traced_peak(lambda: read_grid_csv(path, "interval")) < 2**20
 
 
 def test_a_plain_csv_far_over_the_row_cap_is_refused_by_the_row_reader(tmp_path, monkeypatch):

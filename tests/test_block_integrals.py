@@ -11,20 +11,16 @@ on circles) with ``==``; every grid must agree with a ``math.fsum``
 reference of the same weighted integrand within :func:`_fsum_bound`.
 Apart from the interval Dirichlet energy, none of them builds the weights
 of more than BLOCK nodes. The mass-entropy walk the report had before it
-joined ``_integrals`` is ``references.mass_entropy_walk``, and a syntax-tree
-tripwire keeps every ``np.log`` of the library in its four holders. No
-computed float is frozen here.
+joined ``_integrals`` is ``references.mass_entropy_walk``, and the
+"array-logs" pin of ``pins.py`` keeps every ``np.log`` of the library in its
+four holders. No computed float is frozen here.
 """
 
-import ast
 import math
-import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import lsilab
 from lsilab import (
     PI_SQUARED,
     Circle,
@@ -59,6 +55,7 @@ from lsilab.functionals import (
     _log_sobolev_report,
 )
 
+from pins import traced_peak
 from references import mass_entropy_walk
 
 SIZES = [16, 17, 8191, 8192, 8193, 16387, 65537, 131072]
@@ -307,36 +304,25 @@ def test_not_normalized_comes_before_negative(n):
             deficit(GridFunction(domain, unit))
 
 
-def _peak_mib(call):
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        call()
-        return (tracemalloc.get_traced_memory()[1] - start) / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 def test_reflection_and_circle_report_peaks_stay_below_the_full_grid_ones():
     # Peaks with full-grid weights, squares and logs: 4.00 and 3.00 MiB.
     f = sample_family("sharpness", [0.2], UNIT_INTERVAL, 65537)
-    assert _peak_mib(lambda: reflect_to_circle(f)) < 4.0
+    assert traced_peak(lambda: reflect_to_circle(f)) < 4 * 2**20
     g = _circle_wave(131072, 1.0)
-    assert _peak_mib(lambda: lsi_deficit_circle(g)) < 3.0
+    assert traced_peak(lambda: lsi_deficit_circle(g)) < 3 * 2**20
 
 
 def test_a_circle_walk_scales_each_fresh_integrand_in_place():
     # One block's square is 64 KiB; a scaled copy beside it made 128 KiB.
     g = _circle_wave(131072, 1.0)
     squared_mass(g)  # warm caches and imports
-    assert _peak_mib(lambda: squared_mass(g)) < 96 / 1024
+    assert traced_peak(lambda: squared_mass(g)) < 96 * 2**10
 
 
 def test_a_family_sample_is_built_in_one_array():
     # the samples and the finiteness check's boolean mask; with temporaries, 1.5 arrays
     n = 65537
-    assert _peak_mib(lambda: sample_family("sharpness", [0.3], UNIT_INTERVAL, n)) < 1.25 * 8 * n / 2**20
+    assert traced_peak(lambda: sample_family("sharpness", [0.3], UNIT_INTERVAL, n)) < 1.25 * 8 * n
 
 
 @pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_CIRCLE], ids=["interval", "circle"])
@@ -358,50 +344,3 @@ def test_each_derivative_is_checked_once(monkeypatch, domain):
     with np.errstate(all="ignore"), pytest.raises(InvalidInputError) as raised:
         differentiate(huge)
     assert str(raised.value) == DERIVATIVE_OVERFLOW == "derivative overflows float64; rescale the input"
-
-
-# ---------------------------------------------------------------------------
-# tripwire: where the library takes a logarithm of an array
-# ---------------------------------------------------------------------------
-
-PACKAGE = Path(lsilab.__file__).parent
-
-#: f^2 log f in ``_entropy_integrand`` alone; the Fisher report's f log f, the optimizer
-#: gradient's 2 g log|g| + g, and the Wang residual's f log f.
-LOG_HOLDERS = {"_entropy_integrand", "_fisher_report", "minimize_deficit", "wang_ode_residual"}
-
-
-def log_owners(source: str) -> set[str | None]:
-    """Names of the outermost functions that refer to ``np.log`` or ``numpy.log``; None at
-    module level, where ``from numpy import log`` also counts."""
-    found = set()
-
-    def visit(node, owner):
-        if owner is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                and node.value.id in ("np", "numpy") and node.attr == "log":
-            found.add(owner)
-        if isinstance(node, ast.ImportFrom) and node.module == "numpy" \
-                and any(alias.name == "log" for alias in node.names):
-            found.add(owner)
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source), None)
-    return found
-
-
-def test_the_log_tripwire_names_the_outermost_holder():
-    source = (
-        "from numpy import log\n"
-        "def f(x):\n    return np.log(x)\n"
-        "def g(x):\n    def h():\n        return numpy.log(x)\n    return h\n"
-        "def k(x):\n    return math.log(x), np.log1p(x), np.exp(x)\n"
-    )
-    assert log_owners(source) == {None, "f", "g"}
-
-
-def test_every_array_log_sits_in_its_holders():
-    holders = set().union(*(log_owners(p.read_text()) for p in PACKAGE.glob("*.py")))
-    assert holders == LOG_HOLDERS

@@ -1,4 +1,4 @@
-"""One writer formats every CSV file lsilab makes.
+"""One writer per file format, each writing in bounded blocks.
 
 ``function_space.write_csv`` writes the header, then the rows of its
 columns in blocks of CSV_BLOCK rows, one write per block. Grid files are
@@ -7,27 +7,22 @@ must keep the bytes of the per-row grid writer they replaced
 (``references.grid_csv``) across block edges and on every domain kind,
 and writing one holds no more than its x column and one block of cells.
 The report CSVs are pinned against their replaced writers in
-``test_cli.py``. The tripwire walks the syntax tree of every library
-module and names the function that holds each call which opens a file for
-writing: only the JSON writer and the CSV writer may, one per format, besides
-the ``_open`` path check they both go through.
+``test_cli.py``. ``write_fourier_json`` formats CSV_BLOCK modes per write
+into the bytes that ``json.dump`` of the whole payload gave
+(``references.fourier_json``). The "file-writers" pin of ``pins.py`` keeps
+every call that opens a file for writing in these writers and ``write_json``.
 """
 
-import ast
 import os
-import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import lsilab
-from lsilab import UNIT_CIRCLE, Circle, GridFunction, Interval, write_grid_csv
+from lsilab import UNIT_CIRCLE, Circle, FourierSeries, GridFunction, Interval, write_fourier_json, write_grid_csv
 from lsilab.function_space import CSV_BLOCK, write_csv
 
-from references import grid_csv
-
-PACKAGE = Path(lsilab.__file__).parent
+from pins import traced_peak
+from references import fourier_json, grid_csv
 
 DOMAINS = [Interval(-0.5, 2.0), UNIT_CIRCLE, Circle(3.0)]
 
@@ -62,77 +57,37 @@ def test_columns_without_rows_write_the_header_line(tmp_path):
 
 
 def test_a_grid_write_holds_its_x_column_and_one_block():
-    # The per-row writer held two Python floats per row: 64 MiB at 2**20 rows.
-    n = 2**20
+    # The per-row writer held two Python floats per row: 16 MiB at 2**18 rows.
+    n = 2**18
     f = GridFunction(UNIT_CIRCLE, 1.0 + 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n))
     write_grid_csv(GridFunction(UNIT_CIRCLE, f.values[:16]), os.devnull)  # warm imports
-    tracemalloc.start()
-    try:
-        write_grid_csv(f, os.devnull)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert traced_peak(lambda: write_grid_csv(f, os.devnull)) < 4 * 2**20
 
 
-#: The one writer per file format.
-WRITE_HOLDERS = {"write_json", "write_csv"}
-
-#: The path check every reader and writer opens through; it passes its caller's mode to ``open``.
-OPENER = "_open"
-
-#: Calls that write a file whatever their arguments.
-ALWAYS_WRITE = {"write_text", "write_bytes", "save", "savez", "savez_compressed", "savetxt", "tofile"}
-
-
-def _writes(call: ast.Call) -> bool:
-    """Whether ``call`` opens a file for writing: ``open``, ``_open``, ``io.open`` or
-    ``<path>.open`` with a mode that is not a literal read mode, or an :data:`ALWAYS_WRITE` call."""
-    func = call.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    if name in ALWAYS_WRITE:
-        return True
-    if name not in ("open", "_open"):
-        return False
-    path_method = isinstance(func, ast.Attribute) and not (
-        isinstance(func.value, ast.Name) and func.value.id in ("io", "builtins", "os"))
-    args = call.args[0 if path_method else 1:]
-    mode = args[0] if args else next((k.value for k in call.keywords if k.arg in ("mode", "flags")), None)
-    if mode is None:
-        return False
-    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-                and not set(mode.value) & set("wax+"))
+def _series(n_max, circumference=1.0):
+    """a_0 = 1/3 - 0.0i, then the edge samples paired into coefficients, then a smooth tail."""
+    k = np.arange(n_max + 1)
+    half = (1.0 / (3.0 + k) - 0.125) + 1j * (0.25 - 1.0 / (2.0 + k))
+    half[0] = complex(1.0 / 3.0, -0.0)
+    edges = [complex(a, b) for a, b in zip(EDGE_SAMPLES + [-x for x in EDGE_SAMPLES],
+                                           EDGE_SAMPLES[::-1] + [-x for x in EDGE_SAMPLES[::-1]])]
+    half[1:9] = edges[:n_max]
+    return FourierSeries(circumference, half)
 
 
-def write_owners(source: str) -> set[str | None]:
-    """Names of the innermost functions that hold a call opening a file for writing; None at
-    module level."""
-    found = set()
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        if isinstance(node, ast.Call) and _writes(node):
-            found.add(owner)
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source), None)
-    return found
+@pytest.mark.parametrize("n_max, circumference", [
+    (0, 1.0), (1, 1.0), (7, 2.5), (CSV_BLOCK - 1, 1.0), (CSV_BLOCK, 1.0), (CSV_BLOCK + 1, 1.0), (3000, 1.0),
+])
+def test_fourier_files_keep_the_bytes_of_the_whole_payload_dump(tmp_path, n_max, circumference):
+    series = _series(n_max, circumference)
+    want, got = tmp_path / "want.json", tmp_path / "got.json"
+    fourier_json(series, want)
+    write_fourier_json(series, got)
+    assert got.read_bytes() == want.read_bytes()
 
 
-def test_the_tripwire_names_the_innermost_writer():
-    source = (
-        "LOG = open('log.txt', 'a')\n"
-        "def f(p):\n    return _open(p, 'w', newline='')\n"
-        "def g(p, mode):\n    def h():\n        return Path(p).open(mode=mode)\n    return h\n"
-        "def k(p):\n    np.savetxt(p, [1.0])\n"
-        "def m(p):\n    return open(p), _open(p, 'r'), io.open(p, mode='rb'), Path(p).open(), p.open('r')\n"
-        "def s(p):\n    return os.open(p, os.O_WRONLY)\n"
-    )
-    assert write_owners(source) == {None, "f", "h", "k", "s"}
-
-
-def test_only_the_json_and_the_csv_writer_open_a_file_for_writing():
-    holders = set().union(*(write_owners(p.read_text()) for p in PACKAGE.glob("*.py")))
-    assert holders == WRITE_HOLDERS | {OPENER}
+def test_a_fourier_write_holds_one_block_of_modes():
+    # The whole payload of coefficient dicts took 273 B per mode: 17 MiB here.
+    series = _series(2**15)
+    write_fourier_json(_series(16), os.devnull)  # warm imports
+    assert traced_peak(lambda: write_fourier_json(series, os.devnull)) < 2**20

@@ -10,12 +10,10 @@ test executes.
 
 import ast
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import lsilab
 from lsilab import (
     Circle,
     DomainMismatchError,
@@ -49,7 +47,7 @@ from lsilab import (
 )
 from lsilab.function_space import MAX_SAMPLES
 
-PACKAGE = Path(lsilab.__file__).parent
+from pins import PACKAGE
 
 
 def declared_errors(source: str) -> set[str]:
@@ -251,46 +249,3 @@ def test_each_input_check_raises_its_class_and_message(tmp_path, call, error, me
         call(tmp_path)
     assert type(info.value) is error
     assert str(info.value) == message.replace("{path}", str(tmp_path / "f.csv"))
-
-
-#: The only functions of lsilab that test for a real number, read a dtype kind or open a file.
-REFUSAL_HOLDERS = {"_real", "_samples", "_open"}
-
-
-def refusal_owners(source: str) -> set[str | None]:
-    """Names of the innermost functions that refer to ``numbers.Real``, to ``<x>.dtype.kind``,
-    to the builtin ``open`` or to any ``.open`` attribute; None at module level, where
-    ``from numbers import Real`` also counts."""
-    found = set()
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        if (isinstance(node, ast.Attribute) and (
-                node.attr == "open"
-                or node.attr == "kind" and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"
-                or node.attr == "Real" and isinstance(node.value, ast.Name) and node.value.id == "numbers")
-                or isinstance(node, ast.Name) and node.id == "open"
-                or isinstance(node, ast.ImportFrom) and node.module == "numbers"):
-            found.add(owner)
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source), None)
-    return found
-
-
-def test_the_refusal_tripwire_names_the_innermost_holder():
-    source = (
-        "from numbers import Real\n"
-        "def f(x):\n    return isinstance(x, numbers.Real)\n"
-        "def g(a):\n    def h():\n        return a.dtype.kind\n    return h, a.kind, a.dtype\n"
-        "def k(p):\n    return open(p), Path(p).open()\n"
-        "def m(p):\n    return real(p), numbers.Integral, opened(p)\n"
-    )
-    assert refusal_owners(source) == {None, "f", "h", "k"}
-
-
-def test_only_the_three_helpers_test_reals_dtypes_and_open_files():
-    holders = set().union(*(refusal_owners(p.read_text()) for p in PACKAGE.glob("*.py")))
-    assert holders == REFUSAL_HOLDERS

@@ -6,20 +6,16 @@ sharpness sweep, the ODE residual and the optimizer basis take their
 harmonics from it. The pins below compare it with ``==`` to the
 expressions it replaced, which ``references.py`` keeps; the sharpness and
 Wang families are pinned to their formulas in ``test_batch_parity.py``.
-The tripwire walks the syntax tree of every library module and names the
-function that holds each reference to ``np.cos``, ``np.sin``, ``math.cos``
-or ``math.sin``: only the builder and the batched cosine-series kernel of
-RANDOM_TRIG may.
+The "harmonics" pin of ``pins.py`` keeps every reference to ``np.cos``,
+``np.sin``, ``math.cos`` or ``math.sin`` in the builder and the batched
+cosine-series kernel of RANDOM_TRIG.
 """
 
-import ast
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import lsilab
 from lsilab import (
     Circle,
     Family,
@@ -35,8 +31,6 @@ from lsilab.experiments import _basis_matrix
 from lsilab.function_space import _harmonic, grid_points
 
 from references import circle_basis_loop, harmonic_phase, interval_basis_loop
-
-PACKAGE = Path(lsilab.__file__).parent
 
 DOMAINS = [UNIT_INTERVAL, Interval(-1.0, 2.5), UNIT_CIRCLE, Circle(3.0)]
 DOMAIN_IDS = ["unit-interval", "interval", "unit-circle", "circle"]
@@ -85,49 +79,3 @@ def test_wang_residual_equals_its_old_body(eps, n):
 def test_basis_matrix_equals_the_old_loops(domain, n, old, n_modes):
     basis, _ = _basis_matrix(domain, n_modes, n)
     assert np.array_equal(basis, old(n_modes, n))
-
-
-# ---------------------------------------------------------------------------
-# tripwire
-# ---------------------------------------------------------------------------
-
-#: The builder, and the RANDOM_TRIG kernel, which maps the grid once for all its modes.
-HARMONIC_HOLDERS = {"_harmonic", "_cosine_series"}
-
-TRIG = {(module, name) for module in ("np", "numpy", "math") for name in ("cos", "sin")}
-
-
-def trig_owners(source: str) -> set[str | None]:
-    """Names of the innermost functions that refer to a cosine or sine of ``TRIG``; None at
-    module level, where ``from numpy import cos`` also counts."""
-    found = set()
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                and (node.value.id, node.attr) in TRIG:
-            found.add(owner)
-        if isinstance(node, ast.ImportFrom) \
-                and any((node.module, alias.name) in TRIG for alias in node.names):
-            found.add(owner)
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source), None)
-    return found
-
-
-def test_the_tripwire_names_the_innermost_holder():
-    source = (
-        "from math import sin\n"
-        "def f(x):\n    return np.cos(x)\n"
-        "def g(x):\n    def h():\n        return (numpy.sin if x else math.cos)(x)\n    return h\n"
-        "def k(x):\n    return np.tan(x), np.exp(x), cos(x)\n"
-    )
-    assert trig_owners(source) == {None, "f", "h"}
-
-
-def test_only_the_builder_and_the_series_kernel_hold_a_cosine():
-    holders = set().union(*(trig_owners(p.read_text()) for p in PACKAGE.glob("*.py")))
-    assert holders == HARMONIC_HOLDERS
