@@ -537,11 +537,16 @@ def sample_family(
       RANDOM_TRIG  [seed, modes]  trigonometric polynomial with N(0,1)/k^2
                                   coefficients drawn from the seed
 
-    COSINE_MODE, SHARPNESS and WANG take their cosine from :func:`_harmonic`.
-    Integer parameters (k, seed, modes) must be finite whole numbers, and
-    modes <= MAX_SAMPLES; anything else raises ParamOutOfRangeError. So does
-    an n that is not a whole number in [1, MAX_SAMPLES], before anything is
-    allocated.
+    COSINE_MODE, SHARPNESS and WANG take their cosine from :func:`_harmonic`,
+    and the RANDOM_TRIG interval kernel its cosines from :func:`_half_wave`:
+    each harmonic is evaluated on its half-wave and mirrored by its exact
+    parity, so its samples are exactly even or odd about the midpoint and
+    its worst phase is halved. Integer parameters (k, seed, modes) must be
+    finite whole numbers, and k, modes <= MAX_SAMPLES; anything else raises
+    ParamOutOfRangeError. So does an n that is not a whole number in
+    [1, MAX_SAMPLES], before anything is allocated. Like RANDOM_TRIG's
+    modes, k must fit the grid (k <= n - 1 on intervals, 2k + 1 <= n on
+    circles) or TruncationTooLargeError is raised.
 
     RANDOM_TRIG draws c_0 and then, for k = 1..modes, one coefficient c_k on intervals or a pair
     (alpha_k, beta_k) on circles, all N(0, 1) from ``default_rng(seed)``. On an interval it
@@ -567,7 +572,7 @@ def sample_family(
 
     if family is Family.COSINE_MODE:
         (k,) = _family_params(family, params, 1)
-        mode = _whole(k, 1, "cosine mode index must be an integer >= 1")
+        mode = _check_modes(domain, k, n, "cosine mode index", "k")
         return GridFunction._adopt(domain, _harmonic(domain, n, mode))
 
     if family in (Family.SHARPNESS, Family.WANG):
@@ -598,38 +603,63 @@ def _random_trig_draws(domain: Domain, seed: int, modes: int, n: int) -> np.ndar
     return np.random.default_rng(seed).standard_normal(size)
 
 
-def _check_modes(domain: Domain, modes: int, n: int) -> int:
-    """``modes`` as an int, checked to be a whole number in [1, MAX_SAMPLES] that n nodes resolve."""
-    modes = _whole(modes, 1, "mode count must be an integer >= 1")
+def _check_modes(domain: Domain, modes: int, n: int, what: str = "mode count", symbol: str = "modes") -> int:
+    """``modes`` as an int, checked to be a whole number in [1, MAX_SAMPLES] that n nodes resolve;
+    ``what`` and ``symbol`` name it in the messages."""
+    modes = _whole(modes, 1, f"{what} must be an integer >= 1")
     if modes > MAX_SAMPLES:
-        raise ParamOutOfRangeError(f"mode count must be at most {MAX_SAMPLES}, got {modes!s:.40}")
+        raise ParamOutOfRangeError(f"{what} must be at most {MAX_SAMPLES}, got {modes!s:.40}")
     if isinstance(domain, Interval) and modes > n - 1:
         raise TruncationTooLargeError(
-            f"modes = {modes} exceeds n - 1 = {n - 1}; higher cosines alias on {n} samples")
+            f"{symbol} = {modes} exceeds n - 1 = {n - 1}; higher cosines alias on {n} samples")
     if isinstance(domain, Circle) and 2 * modes + 1 > n:
-        raise TruncationTooLargeError(f"2*modes + 1 = {2 * modes + 1} exceeds the {n} grid samples")
+        raise TruncationTooLargeError(f"2*{symbol} + 1 = {2 * modes + 1} exceeds the {n} grid samples")
     return modes
 
 
 def _cosine_series(domain: Interval, draws: np.ndarray, n: int) -> np.ndarray:
     """c_0 + sum_k c_k cos(k*pi*u) / k^2 on the grid, one row per row (c_0..c_modes) of ``draws``.
-    Each cos(k*pi*u) is evaluated once for all rows; every row equals a one-row call bit for bit.
-    Cosine-only, so the derivative vanishes at both endpoints and the even reflection is smooth."""
+    Each cos(k*pi*u) is one :func:`_half_wave` call for all rows, into one buffer for all modes;
+    every row equals a one-row call bit for bit. Cosine-only, so the derivative vanishes at both
+    endpoints and the even reflection is smooth."""
     u = _unit_coordinate(domain, n)
     values = np.repeat(draws[:, :1], n, axis=1)
+    cos_k = np.empty(n)
     for k in range(1, draws.shape[1]):
-        cos_k = np.cos(k * math.pi * u)
+        _half_wave(domain, u, k, out=cos_k)
         for row, c in zip(values, draws[:, k] / k**2):
             row += c * cos_k
     return values
 
 
 def _harmonic(domain: Domain, n: int, k: int, sine: bool = False) -> np.ndarray:
-    """cos (or sin) of k*pi*u on intervals and of 2*pi*k*u on circles, u the unit coordinate, in one
-    fresh array: every closed-form harmonic on a grid but the batched :func:`_cosine_series`'s."""
-    u = _unit_coordinate(domain, n)
-    u *= math.pi * k if isinstance(domain, Interval) else 2.0 * math.pi * k
-    return (np.sin if sine else np.cos)(u, out=u)  # looked up per call, so tests can count them
+    """The :func:`_half_wave` harmonic on n nodes in one fresh array: every closed-form harmonic on
+    a grid but the batched :func:`_cosine_series`'s."""
+    return _half_wave(domain, _unit_coordinate(domain, n), k, sine)
+
+
+def _half_wave(domain: Domain, u: np.ndarray, k: int, sine: bool = False,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """cos (or sin) of k*pi*u on intervals and of 2*pi*k*u on circles at the unit coordinate ``u``,
+    written to ``out`` (``u`` itself by default), evaluated on the first half-wave only.
+
+    Nodes 0..ceil(n/2) - 1 of an interval (0..floor(n/2) of a circle) are evaluated. Every later node
+    j is its partner n - 1 - j (n - j on a circle) times the exact parity sign: (-1)^k for cos and
+    (-1)^(k+1) for sin on intervals, +1 for cos and -1 for sin on circles. So the samples are exactly
+    even or odd about the midpoint, and the largest phase evaluated is k*pi/2 (k*pi on circles),
+    half the full wave's.
+    """
+    out = u if out is None else out
+    n, circle = u.size, isinstance(domain, Circle)
+    half, first = (n // 2 + 1, 1) if circle else ((n + 1) // 2, 0)
+    wave = np.multiply(u[:half], 2.0 * math.pi * k if circle else math.pi * k, out=out[:half])
+    (np.sin if sine else np.cos)(wave, out=wave)  # looked up per call, so tests can count them
+    partners = out[first:first + n - half][::-1]
+    if (sine if circle else (k + sine) % 2):  # odd about the midpoint
+        np.multiply(partners, -1.0, out=out[half:])  # -x, by a loop that is paged in already
+    else:
+        out[half:] = partners
+    return out
 
 
 def _sharpness_values(eps: float, cos_pi_x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -150,8 +150,8 @@ PINS = {
         loops_over_blocks, {"_integrals", "dirichlet_energy"},
         "``_integrals`` walks the nodes in blocks of BLOCK; the circle energy walks its Fourier modes."),
     "harmonics": Pin(
-        refers_to_trig, {"_harmonic", "_cosine_series"},
-        "The harmonic builder, and the RANDOM_TRIG kernel, which maps the grid once for all its modes."),
+        refers_to_trig, {"_half_wave"},
+        "The half-wave harmonic, which the harmonic builder and the RANDOM_TRIG kernel both call."),
     "file-writers": Pin(
         opens_for_writing, {"write_json", "write_csv", "write_fourier_json", "_open"},
         "One writer per file format, the Fourier JSON written in blocks of modes, and the ``_open`` "

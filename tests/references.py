@@ -112,17 +112,33 @@ def harmonic_phase(domain, n, k):
     return u
 
 
+def mirrored(values, domain, k, sine=False):
+    """Full-wave samples of cos (sin if ``sine``) of k pi u, or 2 pi k u on circles, with each node j
+    past the midpoint replaced by its partner n - 1 - j (n - j on circles) times the parity sign:
+    ``_half_wave``'s mirror, which the full-wave formulas below take since the half-wave harmonics."""
+    n, circle = values.size, isinstance(domain, Circle)
+    j = np.arange(n)
+    partner = (n - j) % n if circle else n - 1 - j
+    sign = (-1.0 if sine else 1.0) if circle else (-1.0) ** (k + sine)
+    return np.where(j > partner, sign * values[partner], values)
+
+
+def harmonic(domain, n, k, sine=False):
+    """``_harmonic``: np.cos (or np.sin) of :func:`harmonic_phase` on every node, then mirrored."""
+    phase = harmonic_phase(domain, n, k)
+    return mirrored(np.sin(phase) if sine else np.cos(phase), domain, k, sine)
+
+
 def interval_basis_loop(n_modes, n):
     """``_basis_matrix`` on [0, 1] before ee79a85: ones, then cos(k pi x) for k = 1, 2, ..."""
-    cosines = [np.cos(harmonic_phase(UNIT_INTERVAL, n, k)) for k in range(1, n_modes)]
+    cosines = [harmonic(UNIT_INTERVAL, n, k) for k in range(1, n_modes)]
     return np.column_stack([np.ones(n)] + cosines)
 
 
 def circle_basis_loop(n_modes, n):
     """``_basis_matrix`` on the unit circle before ee79a85: ones, then cos and sin of 2 pi k x."""
-    phases = [harmonic_phase(UNIT_CIRCLE, n, (col + 1) // 2) for col in range(1, n_modes)]
-    return np.column_stack([np.ones(n)] + [np.sin(p) if col % 2 == 0 else np.cos(p)
-                                           for col, p in enumerate(phases, 1)])
+    return np.column_stack([np.ones(n)] + [harmonic(UNIT_CIRCLE, n, (col + 1) // 2, sine=col % 2 == 0)
+                                           for col in range(1, n_modes)])
 
 
 def random_trig_loop(seeds, modes, domain, n):
@@ -131,13 +147,12 @@ def random_trig_loop(seeds, modes, domain, n):
     rngs = [np.random.default_rng(seed) for seed in seeds]
     values = [np.full(n, rng.standard_normal()) for rng in rngs]
     for k in range(1, modes + 1):
-        phase = harmonic_phase(domain, n, k)  # u * (pi k): the loop's k * pi * u, same bits
+        cos_k = harmonic(domain, n, k)  # from u * (pi k): the loop's k * pi * u, same bits
         if isinstance(domain, Interval):
-            cos_k = np.cos(phase)
             for rng, v in zip(rngs, values):
                 v += rng.standard_normal() / k**2 * cos_k
         else:
-            cos_k, sin_k = np.cos(phase), np.sin(phase)
+            sin_k = harmonic(domain, n, k, sine=True)
             for rng, v in zip(rngs, values):
                 a, b = rng.standard_normal(2)
                 v += (a * cos_k + b * sin_k) / k**2

@@ -3,11 +3,12 @@ per-call formulas they replace, and tripwires on the shared work.
 
 The sharpness sweep evaluates cos(pi x) once per call, the power-mean
 probe differentiates each trial once for all exponents and synthesizes its
-random trials in batches that evaluate each cosine once, the log-Sobolev
-report's one walk of ``_integrals`` squares each node once for the mass
-and the entropy and skips the entropy's mask on positive input, and the
-interval stencil and the closed-form families are built in place. Each
-result must equal the per-call one with ``==``.
+random trials in batches that evaluate each cosine once, each on its
+half-wave only, the log-Sobolev report's one walk of ``_integrals``
+squares each node once for the mass and the entropy and skips the
+entropy's mask on positive input, and the interval stencil and the
+closed-form families are built in place. Each result must equal the
+per-call one with ``==``.
 """
 
 import math
@@ -41,7 +42,7 @@ from lsilab.experiments import DIAZ_FLAG_TOL
 from lsilab.function_space import grid_points, quadrature_weights
 from lsilab.functionals import _check_nonnegative, _diaz_deficits, _entropy_integrand
 
-from references import masked_square_log, probe_trials
+from references import masked_square_log, mirrored, probe_trials
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +72,7 @@ def test_sweep_evaluates_cos_once(monkeypatch):
 
     monkeypatch.setattr(np, "cos", counting_cos)
     sharpness_sweep([0.1, 0.05, 0.025], 2049)
-    assert calls == [2049]
+    assert calls == [1025]  # the half-wave of 2049 nodes
 
 
 def test_sweep_checks_every_epsilon_before_any_grid_work(monkeypatch, tmp_path, capsys):
@@ -164,7 +165,7 @@ def test_probe_evaluates_each_cosine_once_per_batch(monkeypatch):
 
     monkeypatch.setattr(np, "cos", counting_cos)
     diaz_probe([1.25, 1.5, 2.0], 7, 3, n=257, modes=8)  # six random trials in one batch
-    assert calls == [257] * 8
+    assert calls == [129] * 8  # the half-wave of 257 nodes, once per mode
 
 
 @pytest.mark.parametrize("seed, trials", [(-1, 5), (2.5, 1), (None, 1), (math.inf, 3)])
@@ -252,12 +253,13 @@ def test_wirtinger_deficit_equals_the_expression_it_replaced():
 @pytest.mark.parametrize("n", [16, 17, 4097])
 def test_families_equal_the_expressions_they_replaced(n):
     x = grid_points(UNIT_INTERVAL, n)
+    cos_pi_x = mirrored(np.cos(math.pi * x), UNIT_INTERVAL, 1)  # evaluated on the half-wave
     for eps in (0.01, 0.5, 0.99):
         sharp = sample_family(Family.SHARPNESS, [eps], UNIT_INTERVAL, n).values
-        want = math.sqrt(1.0 - eps * eps) + math.sqrt(2.0) * eps * np.cos(math.pi * x)
+        want = math.sqrt(1.0 - eps * eps) + math.sqrt(2.0) * eps * cos_pi_x
         assert np.array_equal(sharp, want)
         wang = sample_family(Family.WANG, [eps], UNIT_INTERVAL, n).values
-        assert np.array_equal(wang, np.exp(-eps * np.cos(math.pi * x)))
+        assert np.array_equal(wang, np.exp(-eps * cos_pi_x))
     for domain in (UNIT_INTERVAL, Interval(-1.0, 0.5), Interval(2.0, 7.0), UNIT_CIRCLE, Circle(3.0)):
         x = grid_points(domain, n)
         if isinstance(domain, Circle):
@@ -266,4 +268,4 @@ def test_families_equal_the_expressions_they_replaced(n):
         for k in (1, 3):
             freq = math.pi * k if isinstance(domain, Interval) else 2.0 * math.pi * k
             mode = sample_family(Family.COSINE_MODE, [k], domain, n).values
-            assert np.array_equal(mode, np.cos(freq * u))
+            assert np.array_equal(mode, mirrored(np.cos(freq * u), domain, k))

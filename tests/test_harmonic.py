@@ -1,14 +1,16 @@
 """One builder for every closed-form harmonic on a grid.
 
 ``function_space._harmonic`` evaluates cos (or sin) of k pi u on intervals
-and of 2 pi k u on circles, u the unit coordinate. The families, the
-sharpness sweep, the ODE residual and the optimizer basis take their
+and of 2 pi k u on circles, u the unit coordinate, on the first half-wave,
+and mirrors the rest by its parity (``test_half_wave.py``). The families,
+the sharpness sweep, the ODE residual and the optimizer basis take their
 harmonics from it. The pins below compare it with ``==`` to the
-expressions it replaced, which ``references.py`` keeps; the sharpness and
-Wang families are pinned to their formulas in ``test_batch_parity.py``.
-The "harmonics" pin of ``pins.py`` keeps every reference to ``np.cos``,
-``np.sin``, ``math.cos`` or ``math.sin`` in the builder and the batched
-cosine-series kernel of RANDOM_TRIG.
+expressions it replaced, mirrored as ``references.mirrored`` does; the
+sharpness and Wang families are pinned to their formulas in
+``test_batch_parity.py``. The "harmonics" pin of ``pins.py`` keeps every
+reference to ``np.cos``, ``np.sin``, ``math.cos`` or ``math.sin`` in
+``_half_wave``, which the builder and the batched cosine-series kernel of
+RANDOM_TRIG call.
 """
 
 import math
@@ -30,7 +32,7 @@ from lsilab import (
 from lsilab.experiments import _basis_matrix
 from lsilab.function_space import _harmonic, grid_points
 
-from references import circle_basis_loop, harmonic_phase, interval_basis_loop
+from references import circle_basis_loop, harmonic, interval_basis_loop, mirrored
 
 DOMAINS = [UNIT_INTERVAL, Interval(-1.0, 2.5), UNIT_CIRCLE, Circle(3.0)]
 DOMAIN_IDS = ["unit-interval", "interval", "unit-circle", "circle"]
@@ -45,19 +47,19 @@ DOMAIN_IDS = ["unit-interval", "interval", "unit-circle", "circle"]
 def test_harmonic_equals_the_expressions_it_replaced(domain, n):
     x = grid_points(domain, n)
     for k in (1, 2, 7):
-        phase = harmonic_phase(domain, n, k)
         cos, sin = _harmonic(domain, n, k), _harmonic(domain, n, k, sine=True)
-        assert np.array_equal(cos, np.cos(phase))
-        assert np.array_equal(sin, np.sin(phase))
-        assert np.array_equal(sample_family(Family.COSINE_MODE, [k], domain, n).values, np.cos(phase))
+        assert np.array_equal(cos, harmonic(domain, n, k))
+        assert np.array_equal(sin, harmonic(domain, n, k, sine=True))
+        assert np.array_equal(sample_family(Family.COSINE_MODE, [k], domain, n).values, cos)
         if domain == UNIT_INTERVAL:
-            assert np.array_equal(cos, np.cos(k * math.pi * x))
+            assert np.array_equal(cos, mirrored(np.cos(k * math.pi * x), domain, k))
         if domain == UNIT_CIRCLE:
-            assert np.array_equal(cos, np.cos(2.0 * math.pi * k * x))
-            assert np.array_equal(sin, np.sin(2.0 * math.pi * k * x))
+            assert np.array_equal(cos, mirrored(np.cos(2.0 * math.pi * k * x), domain, k))
+            assert np.array_equal(sin, mirrored(np.sin(2.0 * math.pi * k * x), domain, k, sine=True))
     if domain == UNIT_INTERVAL:  # the sharpness and Wang families' cosine, and the residual's sine
-        assert np.array_equal(_harmonic(domain, n, 1), np.cos(np.multiply(x, math.pi)))
-        assert np.array_equal(_harmonic(domain, n, 1, sine=True), np.sin(math.pi * x))
+        assert np.array_equal(_harmonic(domain, n, 1), mirrored(np.cos(np.multiply(x, math.pi)), domain, 1))
+        assert np.array_equal(_harmonic(domain, n, 1, sine=True),
+                              mirrored(np.sin(math.pi * x), domain, 1, sine=True))
 
 
 @pytest.mark.parametrize("eps, n", [(0.1, 513), (0.2, 2049), (0.7, 8193)])
@@ -65,7 +67,8 @@ def test_wang_residual_equals_its_old_body(eps, n):
     f = sample_family(Family.WANG, [eps], UNIT_INTERVAL, n)
     first = differentiate(f)
     second = differentiate(first)
-    lhs = second.values - math.pi * eps * np.sin(math.pi * f.x) * first.values
+    sin_pi_x = mirrored(np.sin(math.pi * f.x), UNIT_INTERVAL, 1, sine=True)
+    lhs = second.values - math.pi * eps * sin_pi_x * first.values
     rhs = -PI_SQUARED * f.values * np.log(f.values)
     assert wang_ode_residual(eps, n) == float(np.max(np.abs(lhs - rhs)))
 

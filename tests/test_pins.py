@@ -31,8 +31,8 @@ SELF_TESTS = [
     ("harmonics", (
         "from math import sin\n"
         "def f(x):\n    return np.cos(x)\n"
-        "def g(x):\n    def h():\n        return (numpy.sin if x else math.cos)(x)\n    return h\n"
-        "def k(x):\n    return np.tan(x), np.exp(x), cos(x)\n"
+        "def g(x):\n    def h(wave):\n        return (numpy.sin if x else math.cos)(wave, out=wave)\n    return h\n"
+        "def k(x):\n    return np.tan(x), np.exp(x), cos(x), g(x)(x)\n"
     ), {None, "f", "h"}),
     ("file-writers", (
         "LOG = open('log.txt', 'a')\n"

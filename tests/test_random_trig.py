@@ -1,4 +1,5 @@
-"""The RANDOM_TRIG family: parity with the per-mode loop it replaced, and its parameter checks.
+"""The RANDOM_TRIG family: parity with the per-mode loop it replaced, and its parameter checks,
+which COSINE_MODE's index shares.
 
 On circles the family is one Fourier series synthesized by ``from_fourier``;
 on intervals it is one row of ``function_space._cosine_series``, the kernel
@@ -81,6 +82,7 @@ def test_circle_draws_evaluate_no_cosine_or_sine(monkeypatch):
     (Family.COSINE_MODE, [-math.inf]),
     (Family.COSINE_MODE, [math.nan]),
     (Family.COSINE_MODE, [1.5]),
+    pytest.param(Family.COSINE_MODE, [10**400], id="cosine_mode-[10**400]"),
     (Family.RANDOM_TRIG, [1, math.nan]),
     (Family.RANDOM_TRIG, [1, math.inf]),
     (Family.RANDOM_TRIG, [math.nan, 1]),
@@ -126,6 +128,19 @@ def test_the_grid_holds_every_accepted_mode_and_refuses_one_more_before_drawing(
     for modes in (most + 1, 10**5):
         with pytest.raises(TruncationTooLargeError):
             sample_family(Family.RANDOM_TRIG, [2, modes], domain, n)
+
+
+@pytest.mark.parametrize("domain, n, most", [
+    (UNIT_INTERVAL, 16, 15),
+    (Interval(-1.0, 2.0), 33, 32),
+    (UNIT_CIRCLE, 32, 15),
+    (Circle(2.5), 33, 16),
+], ids=["interval-16", "interval-shifted", "circle-32", "circle-33"])
+def test_a_cosine_mode_one_past_the_grid_is_refused(domain, n, most):
+    assert sample_family(Family.COSINE_MODE, [most], domain, n).n == n
+    symbol = "k" if isinstance(domain, Interval) else "2\\*k \\+ 1"
+    with pytest.raises(TruncationTooLargeError, match=f"^{symbol} = "):
+        sample_family(Family.COSINE_MODE, [most + 1], domain, n)
 
 
 OVERSIZED_MODES = """
