@@ -57,6 +57,7 @@ from .functionals import (
     lsi_deficit_interval,
     squared_mass,
     weissler_bound,
+    weissler_report,
     wirtinger_deficit,
 )
 from .transforms import (

@@ -13,7 +13,8 @@ takes only the flags it reads, as declared in :data:`COMMANDS`
      Each checking command exits 2 exactly when its margin lies below
      -tolerance (see :func:`_verdict`): the deficit (verify), the best
      deficit (optimize), -residual (wang), -|eigenvalue - 4 pi^2| (eigen),
-     and min(abs_n_bound - entropy, n_squared_bound - abs_n_bound) (weissler)
+     and min(abs_n_bound - entropy, n_squared_bound - abs_n_bound) (weissler,
+     whose quantities come from functionals.weissler_report)
   3  the open power-mean conjecture produced a candidate counterexample
      (a finding: the witness function is serialized next to the report)
 
@@ -40,10 +41,9 @@ from . import experiments, functionals, transforms
 from .errors import LsiLabError, ParamOutOfRangeError
 from .function_space import (
     MAX_SAMPLES,
-    Circle,
-    Interval,
+    UNIT_CIRCLE,
+    UNIT_INTERVAL,
     _real,
-    from_fourier,
     read_fourier_json,
     read_grid_csv,
     write_csv,
@@ -115,58 +115,59 @@ def _verdict(margin: float, tolerance: float, message: str) -> int:
     return 0
 
 
+def _write_rows(header: str, rows, out: Path) -> None:
+    """A CSV report: ``rows`` of cells under ``header``, through the one CSV writer."""
+    write_csv(header, list(zip(*rows)), out)
+
+
+def _checked(args: argparse.Namespace, payload: dict, summary: str, margin: float, message: str,
+             table: tuple | None = None) -> int:
+    """The tail of the deficit and checking commands: the report at the command's output (the
+    ``(header, rows)`` of ``table`` when given and the path ends in ``.csv``, else ``payload`` as
+    JSON), the ``summary`` line, then :func:`_verdict` if the command takes --tolerance."""
+    out = _resolve_output(args, f"{args.command}.json")
+    if table and out.suffix == ".csv":
+        _write_rows(*table, out)
+    else:
+        write_json(payload, out)
+    print(summary)
+    return _verdict(margin, args.tolerance, message) if "tolerance" in args else 0
+
+
 def _deficit(args: argparse.Namespace) -> int:
     """``functional`` and ``verify``: one deficit form of a grid CSV."""
     f = read_grid_csv(args.input, args.domain)
-    out = _resolve_output(args, f"{args.command}.json")
     if args.form == "wirtinger":
         deficit = functionals.wirtinger_deficit(f)
         payload = {"form": "wirtinger", "constant": functionals.PI_SQUARED, "deficit": deficit}
         header, row = ",".join(payload), tuple(payload.values())
     else:
-        if args.form == "density":
-            report = functionals.lsi_deficit_density_form(f)
-        elif isinstance(f.domain, Interval):
-            report = functionals.lsi_deficit_general(f)
-        else:
-            report = functionals.lsi_deficit_circle(f)
-        deficit = report.deficit
-        header, row, payload = functionals.REPORT_CSV_HEADER, report.csv_row(), report.to_dict()
-    if out.suffix == ".csv":
-        write_csv(header, [(cell,) for cell in row], out)
-    else:
-        write_json(payload, out)
-    print(f"deficit={deficit!r}")
-    if args.command == "functional":
-        return 0
-    return _verdict(deficit, args.tolerance, "proven inequality violated numerically "
-                    f"(deficit {deficit!r}); check the discretization")
+        report = (functionals.lsi_deficit_density_form if args.form == "density" else
+                  functionals.lsi_deficit_general if args.domain == "interval" else
+                  functionals.lsi_deficit_circle)(f)
+        deficit, payload = report.deficit, report.to_dict()
+        header, row = functionals.REPORT_CSV_HEADER, report.csv_row()
+    return _checked(args, payload, f"deficit={deficit!r}", deficit, "proven inequality violated "
+                    f"numerically (deficit {deficit!r}); check the discretization", (header, [row]))
 
 
-def _transform(args: argparse.Namespace) -> int:
-    """``reflect``, ``normalize`` and ``sqrt-lift``: output grid plus certificate."""
+def _transform(name: str, args: argparse.Namespace) -> int:
+    """``reflect``, ``normalize`` and ``sqrt-lift``: the output grid of ``transforms.<name>``
+    plus its certificate; ``affine_normalize`` also returns the m it prints."""
     f = read_grid_csv(args.input, getattr(args, "domain", "interval"))
-    if args.command == "normalize":
-        g, m, cert = transforms.affine_normalize(f)
-        summary = f"m={m!r}"
-    else:
-        if args.command == "reflect":
-            g, cert = transforms.reflect_to_circle(f)
-        else:
-            g, cert = transforms.sqrt_lift(f)
-        summary = f"residuals={cert.identity_residuals}"
+    g, *m, cert = getattr(transforms, name)(f)
     out = _resolve_output(args, f"{args.command}.csv")
     write_grid_csv(g, out)
     write_json(cert.to_dict(), out.with_name(out.name + ".cert.json"))
-    print(summary)
+    print(f"m={m[0]!r}" if m else f"residuals={cert.identity_residuals}")
     return 0
 
 
 def _sweep(args: argparse.Namespace) -> int:
     records = experiments.sharpness_sweep(args.eps, args.n)
     constant = experiments.extrapolate_constant(records) if args.extrapolate else None
-    out = _resolve_output(args, "sweep.csv")
-    write_csv(experiments.SWEEP_CSV_HEADER, list(zip(*(r.csv_row() for r in records))), out)
+    _write_rows(experiments.SWEEP_CSV_HEADER, (r.csv_row() for r in records),
+                _resolve_output(args, "sweep.csv"))
     if constant is not None:
         print(f"extrapolated_constant={constant!r}")
     return 0
@@ -174,23 +175,17 @@ def _sweep(args: argparse.Namespace) -> int:
 
 def _wang(args: argparse.Namespace) -> int:
     residual = experiments.wang_ode_residual(args.eps, args.n)
-    out = _resolve_output(args, "wang.json")
-    write_json({"eps": args.eps, "n": args.n, "residual": residual}, out)
-    print(f"residual={residual!r}")
-    return _verdict(-residual, args.tolerance, f"ODE residual {residual!r} above tolerance; "
-                    "the identity is exact, so the discretization is off")
+    return _checked(args, {"eps": args.eps, "n": args.n, "residual": residual},
+                    f"residual={residual!r}", -residual, f"ODE residual {residual!r} above "
+                    "tolerance; the identity is exact, so the discretization is off")
 
 
 def _optimize(args: argparse.Namespace) -> int:
-    domain = Interval(0.0, 1.0) if args.domain != "circle" else Circle(1.0)
-    result = experiments.minimize_deficit(
-        domain, args.n_modes, args.seed, args.max_iters, n=args.n
-    )
-    out = _resolve_output(args, "optimize.json")
-    write_json(result.to_dict(), out)
-    print(f"best_deficit={result.best_deficit!r} iterations={result.iterations}")
-    return _verdict(result.best_deficit, args.tolerance, "optimizer produced a negative "
-                    "deficit for a proven inequality; check the quadrature settings")
+    domain = UNIT_CIRCLE if args.domain == "circle" else UNIT_INTERVAL
+    result = experiments.minimize_deficit(domain, args.n_modes, args.seed, args.max_iters, n=args.n)
+    return _checked(args, result.to_dict(), f"best_deficit={result.best_deficit!r} "
+                    f"iterations={result.iterations}", result.best_deficit, "optimizer produced a "
+                    "negative deficit for a proven inequality; check the quadrature settings")
 
 
 def _diaz(args: argparse.Namespace) -> int:
@@ -201,7 +196,7 @@ def _diaz(args: argparse.Namespace) -> int:
     if out.suffix == ".json":
         write_json(report.to_dict(), out)
     else:
-        write_csv(experiments.DIAZ_CSV_HEADER, list(zip(*(r.csv_row() for r in report.results))), out)
+        _write_rows(experiments.DIAZ_CSV_HEADER, (r.csv_row() for r in report.results), out)
     for r in report.results:
         print(f"q={r.q!r} min_deficit={r.min_deficit!r}")
     if report.counterexamples:
@@ -217,30 +212,15 @@ def _eigen(args: argparse.Namespace) -> int:
     # resolvable on the n-point grid
     value = experiments.eigenvalue_check(args.n, min(args.n_max, max(1, args.n // 4)))
     reference = functionals.FOUR_PI_SQUARED
-    out = _resolve_output(args, "eigen.json")
-    write_json({"eigenvalue": value, "reference": reference, "n": args.n}, out)
-    print(f"eigenvalue={value!r}")
-    return _verdict(-abs(value - reference), args.tolerance, "spectral-gap check failed")
+    return _checked(args, {"eigenvalue": value, "reference": reference, "n": args.n},
+                    f"eigenvalue={value!r}", -abs(value - reference), "spectral-gap check failed")
 
 
 def _weissler(args: argparse.Namespace) -> int:
-    series = read_fourier_json(args.input)
-    synthesis = from_fourier(series, args.n)
-    ent = functionals.entropy(synthesis) / series.circumference
-    abs_bound = functionals.weissler_bound(series, functionals.WeightPower.ABS_N)
-    sq_bound = functionals.weissler_bound(series, functionals.WeightPower.N_SQUARED)
-    out = _resolve_output(args, "weissler.json")
-    write_json(
-        {
-            "entropy": ent,
-            "abs_n_bound": abs_bound,
-            "n_squared_bound": sq_bound,
-            "mass": series.mass(),
-        },
-        out,
-    )
-    print(f"entropy={ent!r} abs_n_bound={abs_bound!r} n_squared_bound={sq_bound!r}")
-    return _verdict(min(abs_bound - ent, sq_bound - abs_bound), args.tolerance,
+    report = functionals.weissler_report(read_fourier_json(args.input), args.n)
+    ent, abs_bound, sq_bound = report["entropy"], report["abs_n_bound"], report["n_squared_bound"]
+    return _checked(args, report, f"entropy={ent!r} abs_n_bound={abs_bound!r} "
+                    f"n_squared_bound={sq_bound!r}", min(abs_bound - ent, sq_bound - abs_bound),
                     "Fourier-side entropy bound violated numerically")
 
 
@@ -288,11 +268,12 @@ COMMANDS = {
                           (_INPUT, _DOMAIN, _FORM)),
     "verify": Command(_deficit, "evaluate a deficit and fail (exit 2) if negative",
                       (_INPUT, _DOMAIN, _FORM, _tolerance(1e-7))),
-    "reflect": Command(_transform, "reflect a [0,1] function onto the unit circle", (_INPUT,)),
-    "normalize": Command(_transform, "affine-rescale an interval function to unit mass on [0,1]",
-                         (_INPUT,)),
-    "sqrt-lift": Command(_transform, "pointwise square root with its certificate",
-                         (_INPUT, _DOMAIN)),
+    "reflect": Command(functools.partial(_transform, "reflect_to_circle"),
+                       "reflect a [0,1] function onto the unit circle", (_INPUT,)),
+    "normalize": Command(functools.partial(_transform, "affine_normalize"),
+                         "affine-rescale an interval function to unit mass on [0,1]", (_INPUT,)),
+    "sqrt-lift": Command(functools.partial(_transform, "sqrt_lift"),
+                         "pointwise square root with its certificate", (_INPUT, _DOMAIN)),
     "sweep": Command(_sweep, "sharpness sweep of the extremal family", (
         _n(8193),
         ("--eps", dict(required=True, type=functools.partial(_parse_float_list, what="epsilon"),

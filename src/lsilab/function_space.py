@@ -874,7 +874,13 @@ def write_fourier_json(series: FourierSeries, path: str | Path) -> None:
 
 def read_fourier_json(path: str | Path) -> FourierSeries:
     """Parse the UTF-8 JSON of :func:`write_fourier_json`; each mode index
-    must be a JSON integer of size at most MAX_SAMPLES, given once."""
+    must be a JSON integer of size at most MAX_SAMPLES, given once, and the
+    circumference and each ``re`` and ``im`` a JSON number."""
+    def number(value) -> float:  # float() alone would also take strings and booleans
+        if isinstance(value, (str, bool)):
+            raise TypeError(f"{value!r:.40} is not a JSON number")
+        return float(value)
+
     with _open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
@@ -883,7 +889,7 @@ def read_fourier_json(path: str | Path) -> FourierSeries:
         except (ValueError, RecursionError) as exc:
             raise InvalidInputError(f"{path}: invalid JSON: {exc}") from None
     try:
-        circumference = float(payload["circumference"])
+        circumference = number(payload["circumference"])
         entries = {}
         for item in payload["coefficients"]:
             n = item["n"]
@@ -894,7 +900,7 @@ def read_fourier_json(path: str | Path) -> FourierSeries:
                 )
             if n in entries:
                 raise InvalidInputError(f"{path}: duplicate mode index {n}")
-            entries[n] = complex(float(item["re"]), float(item["im"]))
+            entries[n] = complex(number(item["re"]), number(item["im"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{path}: malformed Fourier series payload: {exc}") from None
     return fourier_from_dict(circumference, entries)

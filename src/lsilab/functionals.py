@@ -65,6 +65,7 @@ from .function_space import (
     _integrals,
     _real,
     differentiate,
+    from_fourier,
     integrate,
     is_unit_circle,
     is_unit_interval,
@@ -345,6 +346,18 @@ def weissler_bound(series: FourierSeries, power: WeightPower | str) -> float:
     mass = series.mass()
     norm_term = 0.0 if mass == 0.0 else mass * 0.5 * math.log(mass)
     return _finite(mode_term + norm_term, "Fourier-side bound")
+
+
+def weissler_report(series: FourierSeries, n: int) -> dict:
+    """Weissler's Fourier-side check (Weissler 1980, Thm. 1) of ``series``: the entropy per
+    unit length of its n-point synthesis, both :func:`weissler_bound` weights and the mass M.
+    The bounds hold when entropy <= abs_n_bound <= n_squared_bound."""
+    return {
+        "entropy": entropy(from_fourier(series, n)) / series.circumference,
+        "abs_n_bound": weissler_bound(series, WeightPower.ABS_N),
+        "n_squared_bound": weissler_bound(series, WeightPower.N_SQUARED),
+        "mass": series.mass(),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 Each pin of :data:`PINS` names the only functions of the library whose syntax
 tree holds a node its predicate accepts, so a computation of the paper's
 functionals has one place: f^2 log f in the entropy, the harmonics of the
-extremal families, the Simpson weights, the file writers and the input
-checks. :func:`owners` is the one walker, and :func:`traced_peak` the one
-``tracemalloc`` probe; ``test_pins.py`` checks every pin and keeps other test
-modules from walking or tracing on their own. A change that moves a
+extremal families, the Simpson weights, the file writers, the input checks,
+Weissler's bounds and the CLI's comparison with --tolerance. :func:`owners`
+is the one walker, and :func:`traced_peak` the one ``tracemalloc`` probe;
+``test_pins.py`` checks every pin and keeps other test modules from walking
+or tracing on their own. A change that moves a
 computation edits its pin here, as it ports its old formulas to
 ``references.py``.
 """
@@ -73,8 +74,9 @@ def refers_to(node: ast.AST, pairs: set[tuple[str, str]]) -> bool:
     return isinstance(node, ast.ImportFrom) and any((node.module, alias.name) in pairs for alias in node.names)
 
 
-def calls_weights(node: ast.AST) -> bool:
-    return isinstance(node, ast.Call) and _name(node.func) == "quadrature_weights"
+def calls(name: str) -> Callable[[ast.AST], bool]:
+    """The predicate: whether a node calls ``name`` or ``module.name``."""
+    return lambda node: isinstance(node, ast.Call) and _name(node.func) == name
 
 
 def loops_over_blocks(node: ast.AST) -> bool:
@@ -128,6 +130,13 @@ def refers_to_log(node: ast.AST) -> bool:
     return refers_to(node, {("np", "log"), ("numpy", "log")})
 
 
+def compares_with_minus_tolerance(node: ast.AST) -> bool:
+    """Whether ``node`` is a comparison with ``-tolerance`` or ``-<x>.tolerance`` on either side."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(side, ast.UnaryOp) and isinstance(side.op, ast.USub) and _name(side.operand) == "tolerance"
+        for side in (node.left, *node.comparators))
+
+
 # ---------------------------------------------------------------------------
 # the pins
 # ---------------------------------------------------------------------------
@@ -143,7 +152,7 @@ class Pin(NamedTuple):
 
 PINS = {
     "quadrature-weights": Pin(
-        calls_weights, {"dirichlet_energy", "minimize_deficit"},
+        calls("quadrature_weights"), {"dirichlet_energy", "minimize_deficit"},
         "The interval energy dots the square of a full derivative, and the optimizer's gradient "
         "weights every node; every other integral walks ``_integrals``."),
     "block-loops": Pin(
@@ -164,4 +173,10 @@ PINS = {
         "f^2 log f in ``_entropy_integrand`` alone; the Fisher report's f log f, the optimizer "
         "gradient's 2 g log|g| + g, and the Wang residual's f log f.",
         outermost=True),
+    "weissler-bounds": Pin(
+        calls("weissler_bound"), {"weissler_report"},
+        "Both Fourier-side bounds are formed beside the entropy they bound, in one library call."),
+    "verdicts": Pin(
+        compares_with_minus_tolerance, {"_verdict"},
+        "A checking command's margin meets -tolerance in ``cli._verdict`` alone."),
 }

@@ -10,8 +10,9 @@ import math
 import numpy as np
 
 from lsilab import (FOUR_PI_SQUARED, PI_SQUARED, UNIT_CIRCLE, UNIT_INTERVAL, Circle, Family,
-                    FunctionalReport, GridFunction, Interval, InvalidInputError, diaz_deficit,
-                    differentiate, dirichlet_energy, entropy, grid_points, sample_family, squared_mass)
+                    FunctionalReport, GridFunction, Interval, InvalidInputError, WeightPower,
+                    diaz_deficit, differentiate, dirichlet_energy, entropy, from_fourier, grid_points,
+                    sample_family, squared_mass, weissler_bound)
 from lsilab.experiments import RATIO_ENTROPY_FLOOR, _basis_matrix, random_admissible_function
 from lsilab.function_space import BLOCK, quadrature_weights, write_json
 from lsilab.functionals import _entropy_integrand, _finite, _geometry
@@ -100,6 +101,16 @@ def complex_factor_energy(f):
     d /= n
     total = sum(np.vdot(d[lo:lo + BLOCK], d[lo:lo + BLOCK]).real for lo in range(0, d.size, BLOCK))
     return _finite(2.0 * f.domain.circumference * total, "Dirichlet energy")
+
+
+def weissler_payload(series, n):
+    """``cli._weissler``'s arithmetic before ``functionals.weissler_report`` took it over: the
+    entropy per unit length of the n-point synthesis, both bounds, then the mass."""
+    synthesis = from_fourier(series, n)
+    ent = entropy(synthesis) / series.circumference
+    abs_bound = weissler_bound(series, WeightPower.ABS_N)
+    sq_bound = weissler_bound(series, WeightPower.N_SQUARED)
+    return {"entropy": ent, "abs_n_bound": abs_bound, "n_squared_bound": sq_bound, "mass": series.mass()}
 
 
 def harmonic_phase(domain, n, k):

@@ -348,6 +348,7 @@ COUNTS = {
     ("from_callable", "n"): (1, True, "from_callable(UNIT_INTERVAL, v, np.cos)"),
     ("sample_family", "n"): (1, True, "sample_family('constant', [1.0], UNIT_INTERVAL, v)"),
     ("from_fourier", "n"): (1, True, "from_fourier(fourier_from_dict(1.0, {0: 1.0}), v)"),
+    ("weissler_report", "n"): (1, True, "weissler_report(fourier_from_dict(1.0, {0: 1.0}), v)"),
     ("to_fourier", "n_max"): (0, False, "to_fourier(from_callable(UNIT_CIRCLE, 64, np.cos), v)"),
     ("fourier_from_dict", "entries"): (None, False, "fourier_from_dict(1.0, {0: 1.0, v: 0.5})"),
     ("sharpness_sweep", "n"): (2049, True, "sharpness_sweep([0.1], v)"),

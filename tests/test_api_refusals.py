@@ -76,6 +76,7 @@ BASE = {
                              ratio=None, correction=0.0),
     "diaz_deficit": dict(r=INTERVAL_F, q=1.5),
     "weissler_bound": dict(series=SERIES, power="abs_n"),
+    "weissler_report": dict(series=SERIES, n=16),
     "TransformCertificate": dict(input_report=REPORT, output_report=REPORT, identity_residuals={}),
     "DiazProbeReport": dict(seed=0, trials=1, n=16, modes=1, results=(), counterexamples=()),
     "OptimizerResult": dict(best_deficit=0.0, best_ratio=None, coefficients=np.zeros(2),

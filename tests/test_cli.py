@@ -26,7 +26,7 @@ from lsilab import (
 from lsilab import experiments, function_space, functionals
 from lsilab.cli import COMMANDS, build_parser, main, parse_config
 from lsilab.experiments import DiazProbeReport, DiazQResult
-from lsilab.function_space import MAX_SAMPLES, write_csv
+from lsilab.function_space import MAX_SAMPLES, read_fourier_json, write_csv, write_json
 
 from child import run_cli_limited
 from references import probe_csv, report_csv, sweep_csv
@@ -185,6 +185,16 @@ def test_weissler_command(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["entropy"] <= payload["abs_n_bound"] + 1e-7
     assert payload["abs_n_bound"] <= payload["n_squared_bound"] + 1e-7
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_weissler_writes_the_bytes_of_the_library_report(tmp_path, n):
+    series = fourier_from_dict(1.0, {0: 1.0, 1: 0.1, -1: 0.1, 2: 0.05j, -2: -0.05j})
+    path, out, expected = tmp_path / "series.json", tmp_path / "w.json", tmp_path / "expected.json"
+    write_fourier_json(series, path)
+    assert main(["weissler", "--input", str(path), "--N", str(n), "--output", str(out)]) == 0
+    write_json(functionals.weissler_report(read_fourier_json(path), n), expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("im, defect", [(1.0, "2.000e+00"), (1e308, "inf")])
@@ -738,8 +748,19 @@ def _series_json(*entries):
     (_series_json(("1" * 5000, "1.0")), "invalid JSON: Exceeds the limit"),
     (_series_json(("9" * 4300, "1.0")), "mode index 9999999999"),
     (_series_json(("0", "1" * 400)), "malformed Fourier series payload: int too large"),
+    (b'{"circumference": 1.0, "coefficients": [{"n": 0, "re": 1.0, "im": 0.0}, '
+     b'{"n": 1, "re": " 0.1 ", "im": "0"}, {"n": -1, "re": 0.1, "im": 0.0}]}',
+     "malformed Fourier series payload: ' 0.1 ' is not a JSON number"),
+    (b'{"circumference": 1.0, "coefficients": [{"n": 0, "re": 1.0, "im": "0"}]}',
+     "malformed Fourier series payload: '0' is not a JSON number"),
+    (b'{"circumference": "1", "coefficients": [{"n": 0, "re": 1.0, "im": 0.0}]}',
+     "malformed Fourier series payload: '1' is not a JSON number"),
+    (b'{"circumference": true, "coefficients": [{"n": 0, "re": 1.0, "im": 0.0}]}',
+     "malformed Fourier series payload: True is not a JSON number"),
+    (_series_json(("0", "1.0"), ("1", "false")), "malformed Fourier series payload: False is not"),
 ], ids=["not-utf8", "infinite-index", "deep-nesting", "fractional-index", "duplicate-index",
-        "5000-digit-index", "4300-digit-index", "400-digit-real"])
+        "5000-digit-index", "4300-digit-index", "400-digit-real", "string-re", "string-im",
+        "string-circumference", "boolean-circumference", "boolean-re"])
 def test_hostile_fourier_json_exits_one_with_one_line(tmp_path, capsys, payload, message):
     path = tmp_path / "series.json"
     path.write_bytes(payload)

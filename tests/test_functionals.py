@@ -43,13 +43,14 @@ from lsilab import (
     squared_mass,
     to_fourier,
     weissler_bound,
+    weissler_report,
     wirtinger_deficit,
 )
 from lsilab.experiments import random_admissible_function
 from lsilab.function_space import quadrature_weights
 from lsilab.functionals import _check_nonnegative, _entropy_integrand
 
-from references import masked_square_log
+from references import masked_square_log, weissler_payload
 
 # [frozen] integral f_eps^2 log f_eps on [0, 1] for the sharpness family
 ENTROPY_SHARPNESS = {
@@ -346,6 +347,23 @@ def test_a_bound_that_overflows_alone_raises_without_warnings():
         with pytest.raises(InvalidInputError) as raised:
             weissler_bound(series, WeightPower.N_SQUARED)
     assert str(raised.value) == "Fourier-side bound overflows float64; rescale the input"
+
+
+@pytest.mark.parametrize("make, n", [
+    # criterion 5's first and last series: 64 modes of a random admissible function at N = 4096
+    (lambda: to_fourier(random_admissible_function(Circle(1.0), 64, 777, 4096, normalize=False), 64),
+     4096),
+    (lambda: to_fourier(random_admissible_function(Circle(1.0), 64, 876, 4096, normalize=False), 64),
+     4096),
+    # a_{-1} 1e-5 off conj(a_1), inside the conjugate-symmetry tolerance at a_0 = 1e6
+    (lambda: fourier_from_dict(1.0, {-1: 87.2, 0: 1e6, 1: 87.2 + 1e-5}), 256),
+    (lambda: fourier_from_dict(1.0, {-1: 87.2, 0: 1e6, 1: 87.2 + 1e-5}), 8192),
+], ids=["criterion-5-seed-777", "criterion-5-seed-876", "near-symmetric-256", "near-symmetric-8192"])
+def test_weissler_report_equals_the_arithmetic_it_replaced(make, n):
+    series = make()
+    report = weissler_report(series, n)
+    assert report == weissler_payload(series, n)
+    assert list(report) == ["entropy", "abs_n_bound", "n_squared_bound", "mass"]
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -55,6 +55,18 @@ SELF_TESTS = [
         "def g(x):\n    def h():\n        return numpy.log(x)\n    return h\n"
         "def k(x):\n    return math.log(x), np.log1p(x), np.exp(x)\n"
     ), {None, "f", "g"}),
+    ("weissler-bounds", (
+        "B = weissler_bound(s, 'abs_n')\n"
+        "def f(s, p):\n    return functionals.weissler_bound(s, p)\n"
+        "def g(s, p):\n    def h():\n        return weissler_bound(s, p)\n    return h\n"
+        "def k(s):\n    return weissler_bound, weissler_report(s, 16), m.weissler_bounds(s)\n"
+    ), {None, "f", "h"}),
+    ("verdicts", (
+        "FAILED = margin < -tolerance\n"
+        "def f(margin, args):\n    return 0.0 <= margin <= -args.tolerance\n"
+        "def g(margin):\n    def h(tolerance):\n        return -tolerance > margin\n    return h\n"
+        "def k(low, tolerance):\n    return low < -NEGATIVE_TOL, low < tolerance, -tolerance, low < +tolerance\n"
+    ), {None, "f", "h"}),
 ]
 
 
