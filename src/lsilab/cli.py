@@ -1,9 +1,11 @@
 """Batch command-line front end.
 
 One command per process; every command reads CSV/JSON inputs, writes its
-report to ``--output`` and communicates through exit codes. Each command
-takes only the flags it reads, as declared in :data:`COMMANDS`
-(``lsilab <command> -h`` lists them):
+report to ``--output`` and communicates through exit codes. ``functional``,
+``verify``, ``sweep`` and ``diaz`` write CSV when it ends in ``.csv`` and JSON
+otherwise, the transforms a grid CSV plus ``<output>.cert.json``, and every
+other command JSON. Each command takes only the flags it reads, as declared
+in :data:`COMMANDS` (``lsilab <command> -h`` lists them):
 
   0  success
   1  I/O, validation or usage error (malformed files, bad parameters, a flag
@@ -34,6 +36,7 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -41,6 +44,7 @@ from . import experiments, functionals, transforms
 from .errors import LsiLabError, ParamOutOfRangeError
 from .function_space import (
     MAX_SAMPLES,
+    MIN_SAMPLES,
     UNIT_CIRCLE,
     UNIT_INTERVAL,
     _real,
@@ -91,10 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv: Sequence[str] | None) -> argparse.Namespace:
-    """Parsed arguments, with --N checked against [16, MAX_SAMPLES]."""
+    """Parsed arguments, with --N checked against [MIN_SAMPLES, MAX_SAMPLES]."""
     args = build_parser().parse_args(argv)
-    if "n" in args and not (16 <= args.n <= MAX_SAMPLES):
-        raise ParamOutOfRangeError(f"N must lie in [16, {MAX_SAMPLES}], got {args.n!s:.40}")
+    if "n" in args and not (MIN_SAMPLES <= args.n <= MAX_SAMPLES):
+        raise ParamOutOfRangeError(f"N must lie in [{MIN_SAMPLES}, {MAX_SAMPLES}], got {args.n!s:.40}")
     return args
 
 
@@ -115,22 +119,19 @@ def _verdict(margin: float, tolerance: float, message: str) -> int:
     return 0
 
 
-def _write_rows(header: str, rows, out: Path) -> None:
-    """A CSV report: ``rows`` of cells under ``header``, through the one CSV writer."""
-    write_csv(header, list(zip(*rows)), out)
-
-
-def _checked(args: argparse.Namespace, payload: dict, summary: str, margin: float, message: str,
-             table: tuple | None = None) -> int:
-    """The tail of the deficit and checking commands: the report at the command's output (the
-    ``(header, rows)`` of ``table`` when given and the path ends in ``.csv``, else ``payload`` as
-    JSON), the ``summary`` line, then :func:`_verdict` if the command takes --tolerance."""
-    out = _resolve_output(args, f"{args.command}.json")
+def _checked(args: argparse.Namespace, payload: dict, summary: str, margin: float = 0.0,
+             message: str = "", table: tuple | None = None, suffix: str = ".json") -> int:
+    """The tail of every report command, all but the transforms: the report at the command's
+    output (default ``<command><suffix>``) as the CSV rows of ``table = (header, rows)`` when given
+    and the path ends in ``.csv``, else ``payload`` as JSON; the ``summary`` lines, if any; then
+    :func:`_verdict` if the command takes --tolerance."""
+    out = _resolve_output(args, args.command + suffix)
     if table and out.suffix == ".csv":
-        _write_rows(*table, out)
+        write_csv(table[0], list(zip(*table[1])), out)
     else:
         write_json(payload, out)
-    print(summary)
+    if summary:
+        print(summary)
     return _verdict(margin, args.tolerance, message) if "tolerance" in args else 0
 
 
@@ -166,11 +167,9 @@ def _transform(name: str, args: argparse.Namespace) -> int:
 def _sweep(args: argparse.Namespace) -> int:
     records = experiments.sharpness_sweep(args.eps, args.n)
     constant = experiments.extrapolate_constant(records) if args.extrapolate else None
-    _write_rows(experiments.SWEEP_CSV_HEADER, (r.csv_row() for r in records),
-                _resolve_output(args, "sweep.csv"))
-    if constant is not None:
-        print(f"extrapolated_constant={constant!r}")
-    return 0
+    return _checked(args, {"records": [asdict(r) for r in records]},
+                    "" if constant is None else f"extrapolated_constant={constant!r}", suffix=".csv",
+                    table=(experiments.SWEEP_CSV_HEADER, [r.csv_row() for r in records]))
 
 
 def _wang(args: argparse.Namespace) -> int:
@@ -192,19 +191,14 @@ def _diaz(args: argparse.Namespace) -> int:
     if not 1 <= args.modes <= 64:
         raise ParamOutOfRangeError(f"--modes must lie in [1, 64], got {args.modes!s:.40}")
     report = experiments.diaz_probe(args.q, args.trials, args.seed, n=args.n, modes=args.modes)
-    out = _resolve_output(args, "diaz.csv")
-    if out.suffix == ".json":
-        write_json(report.to_dict(), out)
-    else:
-        _write_rows(experiments.DIAZ_CSV_HEADER, (r.csv_row() for r in report.results), out)
-    for r in report.results:
-        print(f"q={r.q!r} min_deficit={r.min_deficit!r}")
-    if report.counterexamples:
-        paths = experiments.write_counterexamples(report, out)
-        names = ", ".join(str(p) for p in paths)
-        print(f"lsilab: counterexample candidates written to {names}", file=sys.stderr)
-        return 3
-    return 0
+    summary = "\n".join(f"q={r.q!r} min_deficit={r.min_deficit!r}" for r in report.results)
+    _checked(args, report.to_dict(), summary, suffix=".csv",
+             table=(experiments.DIAZ_CSV_HEADER, [r.csv_row() for r in report.results]))
+    if not report.counterexamples:
+        return 0
+    paths = experiments.write_counterexamples(report, _resolve_output(args, "diaz.csv"))
+    print(f"lsilab: counterexample candidates written to {', '.join(map(str, paths))}", file=sys.stderr)
+    return 3
 
 
 def _eigen(args: argparse.Namespace) -> int:

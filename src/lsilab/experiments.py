@@ -10,7 +10,7 @@ the functionals module.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -333,16 +333,9 @@ class DiazProbeReport:
     counterexamples: tuple[tuple[float, int, GridFunction], ...]
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "n": self.n,
-            "modes": self.modes,
-            "results": [asdict(r) for r in self.results],
-            "counterexamples": [
-                {"q": q, "trial": trial} for q, trial, _ in self.counterexamples
-            ],
-        }
+        """``asdict`` with each counterexample as its ``{q, trial}``; the witnesses are not copied."""
+        return {**asdict(replace(self, results=list(self.results), counterexamples=())),
+                "counterexamples": [{"q": q, "trial": trial} for q, trial, _ in self.counterexamples]}
 
 
 DIAZ_CSV_HEADER = "q,min_deficit,flag"

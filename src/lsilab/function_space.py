@@ -876,8 +876,8 @@ def read_fourier_json(path: str | Path) -> FourierSeries:
     """Parse the UTF-8 JSON of :func:`write_fourier_json`; each mode index
     must be a JSON integer of size at most MAX_SAMPLES, given once, and the
     circumference and each ``re`` and ``im`` a JSON number."""
-    def number(value) -> float:  # float() alone would also take strings and booleans
-        if isinstance(value, (str, bool)):
+    def number(value) -> float:  # a JSON int or float; float() alone would take strings and booleans
+        if type(value) not in (int, float):
             raise TypeError(f"{value!r:.40} is not a JSON number")
         return float(value)
 

@@ -3,11 +3,11 @@
 Each pin of :data:`PINS` names the only functions of the library whose syntax
 tree holds a node its predicate accepts, so a computation of the paper's
 functionals has one place: f^2 log f in the entropy, the harmonics of the
-extremal families, the Simpson weights, the file writers, the input checks,
-Weissler's bounds and the CLI's comparison with --tolerance. :func:`owners`
-is the one walker, and :func:`traced_peak` the one ``tracemalloc`` probe;
-``test_pins.py`` checks every pin and keeps other test modules from walking
-or tracing on their own. A change that moves a
+extremal families, the Simpson weights, the file writers and their callers,
+the input checks, Weissler's bounds and the CLI's comparison with --tolerance.
+:func:`owners` is the one walker, and :func:`traced_peak` the one
+``tracemalloc`` probe; ``test_pins.py`` checks every pin and keeps other test
+modules from walking or tracing on their own. A change that moves a
 computation edits its pin here, as it ports its old formulas to
 ``references.py``.
 """
@@ -176,6 +176,12 @@ PINS = {
     "weissler-bounds": Pin(
         calls("weissler_bound"), {"weissler_report"},
         "Both Fourier-side bounds are formed beside the entropy they bound, in one library call."),
+    "json-writes": Pin(
+        calls("write_json"), {"_checked", "_transform"},
+        "Every JSON report leaves through the CLI's one report tail; a transform writes its certificate."),
+    "csv-writes": Pin(
+        calls("write_csv"), {"_checked", "write_grid_csv"},
+        "Every CSV report table leaves through the CLI's one report tail; every grid through its writer."),
     "verdicts": Pin(
         compares_with_minus_tolerance, {"_verdict"},
         "A checking command's margin meets -tolerance in ``cli._verdict`` alone."),

@@ -6,6 +6,7 @@ and reports each moved value instead of re-freezing it (see ``test_references.py
 
 import csv
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -246,6 +247,21 @@ def probe_dict(report):
         "results": [{"q": r.q, "min_deficit": r.min_deficit, "argmin_trial": r.argmin_trial,
                      "flagged": r.flagged} for r in report.results],
         "counterexamples": [{"q": q, "trial": trial} for q, trial, _ in report.counterexamples],
+    }
+
+
+def probe_payload(report):
+    """``DiazProbeReport.to_dict`` as written at d4c6aa7, before it became ``asdict`` of the report
+    with the counterexamples emptied."""
+    return {
+        "seed": report.seed,
+        "trials": report.trials,
+        "n": report.n,
+        "modes": report.modes,
+        "results": [asdict(r) for r in report.results],
+        "counterexamples": [
+            {"q": q, "trial": trial} for q, trial, _ in report.counterexamples
+        ],
     }
 
 

@@ -220,6 +220,15 @@ def test_probe_peak_memory_does_not_grow_with_the_trials():
     assert traced_peak(lambda: diaz_probe([1.5], 200, 0)) < 0.5 * 2**20
 
 
+def test_probe_to_dict_copies_no_witness(monkeypatch):
+    # asdict of the whole report deep-copies the 400 witness entries: a 6.5 MiB peak
+    monkeypatch.setattr(experiments, "DIAZ_FLAG_TOL", 1.0)
+    report = diaz_probe([1.25, 2.0], 200, 0, n=2049)
+    assert len(report.counterexamples) == 400
+    report.to_dict()  # warm caches
+    assert traced_peak(report.to_dict) < 2**18
+
+
 @pytest.mark.parametrize("tol", [0.05, 1.0], ids=["some-trials", "every-trial"])
 def test_probe_witnesses_equal_per_trial_sampling(monkeypatch, tol):
     monkeypatch.setattr(experiments, "DIAZ_FLAG_TOL", tol)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -112,6 +113,43 @@ def test_sweep_output_is_byte_identical(tmp_path):
         assert main(["sweep", "--eps", "0.2,0.1", "--N", "2049",
                      "--output", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_json_holds_the_library_records(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--eps", "0.1,1e-300,0.2", "--N", "2049", "--output", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    records = lsilab.sharpness_sweep([0.1, 1e-300, 0.2], 2049)
+    assert records[-1].ratio is None
+    assert json.loads(out.read_text()) == {"records": [asdict(r) for r in records]}
+
+
+#: command -> (argv, the header of its CSV table or None) for the report commands with a table,
+#: and one without
+FORMATS = {
+    "functional": (["functional", "--domain", "interval"], functionals.REPORT_CSV_HEADER),
+    "verify": (["verify", "--domain", "interval"], functionals.REPORT_CSV_HEADER),
+    "sweep": (["sweep", "--eps", "0.2,0.1", "--N", "2049"], experiments.SWEEP_CSV_HEADER),
+    "diaz": (["diaz", "--q", "1.5", "--trials", "3", "--N", "257", "--modes", "8"],
+             experiments.DIAZ_CSV_HEADER),
+    "wang": (["wang", "--N", "2049"], None),
+}
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json", ".txt", None], ids=["csv", "json", "txt", "default"])
+@pytest.mark.parametrize("command", FORMATS)
+def test_a_report_is_csv_exactly_when_its_command_has_a_table_and_the_output_ends_in_csv(
+        const_csv, tmp_path, monkeypatch, command, suffix):
+    monkeypatch.chdir(tmp_path)
+    argv, header = FORMATS[command]
+    argv = argv + (["--input", str(const_csv)] if command in ("functional", "verify") else [])
+    assert main(argv + (["--output", f"report{suffix}"] if suffix else [])) == 0
+    default = ".csv" if command in ("sweep", "diaz") else ".json"
+    text = (tmp_path / (f"report{suffix}" if suffix else command + default)).read_text()
+    if header and (suffix or default) == ".csv":
+        assert text.startswith(header + "\n")
+    else:
+        assert isinstance(json.loads(text), dict)
 
 
 def test_wang_exits_zero_and_writes_residual(tmp_path):
@@ -758,9 +796,16 @@ def _series_json(*entries):
     (b'{"circumference": true, "coefficients": [{"n": 0, "re": 1.0, "im": 0.0}]}',
      "malformed Fourier series payload: True is not a JSON number"),
     (_series_json(("0", "1.0"), ("1", "false")), "malformed Fourier series payload: False is not"),
+    (_series_json(("0", "1.0"), ("1", "null")),
+     "malformed Fourier series payload: None is not a JSON number"),
+    (b'{"circumference": 1.0, "coefficients": [{"n": 0, "re": 1.0, "im": [0]}]}',
+     "malformed Fourier series payload: [0] is not a JSON number"),
+    (b'{"circumference": {"L": 1}, "coefficients": [{"n": 0, "re": 1.0, "im": 0.0}]}',
+     "malformed Fourier series payload: {'L': 1} is not a JSON number"),
 ], ids=["not-utf8", "infinite-index", "deep-nesting", "fractional-index", "duplicate-index",
         "5000-digit-index", "4300-digit-index", "400-digit-real", "string-re", "string-im",
-        "string-circumference", "boolean-circumference", "boolean-re"])
+        "string-circumference", "boolean-circumference", "boolean-re", "null-re", "list-im",
+        "object-circumference"])
 def test_hostile_fourier_json_exits_one_with_one_line(tmp_path, capsys, payload, message):
     path = tmp_path / "series.json"
     path.write_bytes(payload)

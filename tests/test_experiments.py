@@ -41,7 +41,7 @@ from lsilab.experiments import (
 )
 from lsilab.function_space import quadrature_weights, write_csv, write_json
 
-from references import probe_dict, two_synthesis_optimizer
+from references import probe_dict, probe_payload, two_synthesis_optimizer
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +357,19 @@ def test_probe_to_dict_writes_the_bytes_of_the_field_by_field_dict(tmp_path):
         write_json(probe_dict(report), want)
         write_json(report.to_dict(), got)
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_probe_to_dict_equals_the_hand_written_dict_it_replaced():
+    witness = sample_family(Family.CONSTANT, [1.0], UNIT_INTERVAL, 64)
+    flagged = DiazProbeReport(
+        seed=1, trials=2, n=64, modes=4,
+        results=(DiazQResult(1.5, -1e-3, 1, True), DiazQResult(np.float64(2.0), 1e-17, 0, False)),
+        counterexamples=((1.5, 1, witness), (np.float64(2.0), 1, witness)),
+    )
+    reports = [diaz_probe([1.25, 2.0], 4, 7, n=257, modes=8), flagged]
+    assert [len(r.counterexamples) for r in reports] == [0, 2]
+    for report in reports:
+        assert report.to_dict() == probe_payload(report)
 
 
 def test_probe_validation():

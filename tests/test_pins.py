@@ -61,6 +61,18 @@ SELF_TESTS = [
         "def g(s, p):\n    def h():\n        return weissler_bound(s, p)\n    return h\n"
         "def k(s):\n    return weissler_bound, weissler_report(s, 16), m.weissler_bounds(s)\n"
     ), {None, "f", "h"}),
+    ("json-writes", (
+        "write_json({}, 'a.json')\n"
+        "def f(p):\n    function_space.write_json({}, p)\n"
+        "def g(p):\n    def h():\n        write_json({'a': 1}, p)\n    return h\n"
+        "def k(p):\n    return write_json, write_fourier_json(s, p), json.dump({}, p), m.write_jsons(p)\n"
+    ), {None, "f", "h"}),
+    ("csv-writes", (
+        "write_csv('x', [[1.0]], 'a.csv')\n"
+        "def f(p):\n    function_space.write_csv('x', [[1.0]], p)\n"
+        "def g(p):\n    def h():\n        write_csv('x,y', [], p)\n    return h\n"
+        "def k(p):\n    return write_csv, write_grid_csv(f, p), csv.writer(p), _write_rows('x', [], p)\n"
+    ), {None, "f", "h"}),
     ("verdicts", (
         "FAILED = margin < -tolerance\n"
         "def f(margin, args):\n    return 0.0 <= margin <= -args.tolerance\n"
